@@ -1,6 +1,6 @@
 """CI guard: the hardware counters must obey their physical invariants.
 
-Profiles AlexNet (sampled) with ``REPRO_PROFILE=counters`` and fails the
+Profiles AlexNet (sampled) at the ``counters`` fidelity level and fails the
 build when either microarchitectural law breaks:
 
 1. **Conservation** -- for every (scheme, layer, cluster), busy +
@@ -36,18 +36,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
 
-    if os.environ.get("REPRO_PROFILE", "").strip().lower() == "off":
-        # The whole point is to check the counters; force them on.
-        os.environ["REPRO_PROFILE"] = "counters"
-
     from repro import profiling, telemetry
+    from repro.analytical.fidelity import fidelity_scope
 
     telemetry.reset()
     schemes = profiling.DEFAULT_SCHEMES + ("scnn",)
     try:
-        profile = profiling.profile_network(
-            network=args.network, schemes=schemes, fast=True, seed=args.seed
-        )
+        # The whole point is to check the counters: profile at the
+        # counters level whatever REPRO_FIDELITY says.
+        with fidelity_scope("counters"):
+            profile = profiling.profile_network(
+                network=args.network, schemes=schemes, fast=True, seed=args.seed
+            )
     except (RuntimeError, ValueError) as exc:
         # profile_network already runs check_conservation() per layer.
         print(f"check_profile: FAIL -- {exc}")

@@ -71,8 +71,8 @@ def estimate_network(
                 counters = result.counters
                 if counters is None:
                     raise RuntimeError(
-                        "analytical counters are off (REPRO_PROFILE=off); the "
-                        "CLI escalates to 'counters' before estimating"
+                        "analytical counters are off at fidelity level "
+                        "'cycles'; estimate under fidelity_scope('analytical')"
                     )
                 layers.setdefault(spec.name, {})[scheme] = counters.to_dict()
                 for bucket, value in counters.totals().items():

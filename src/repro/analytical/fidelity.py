@@ -1,33 +1,40 @@
-"""The fidelity ladder: ``analytical -> counters -> timeline -> trace``.
+"""The fidelity ladder: ``analytical -> cycles -> counters -> timeline -> trace``.
 
-Every per-layer question in the repo can be answered at four costs:
+Every per-layer question in the repo can be answered at five costs:
 
 - ``analytical``  -- closed-form prediction from density statistics
-  (:mod:`repro.analytical.model`); microseconds per layer, validated
-  against the simulators by :mod:`repro.analytical.validate`.
-- ``counters``    -- the cycle-level simulators with per-cluster
-  hardware counters attached (the repo's default profile mode).
-- ``timeline``    -- counters plus binned per-cluster cycle timelines
-  (``REPRO_PROFILE=timeline``).
+  (:mod:`repro.analytical.model`), validated against the simulators by
+  :mod:`repro.analytical.validate`; carries counters.
+- ``cycles``      -- the cycle-level simulators with no hardware
+  counters (the fast path for headline figure regeneration).
+- ``counters``    -- cycles plus per-cluster hardware counters (the
+  default).
+- ``timeline``    -- counters plus binned per-cluster cycle timelines.
 - ``trace``       -- timeline plus an event-level memory-system trace of
   the busiest cluster through the double-buffered front end
   (:mod:`repro.sim.trace`), attached under ``extras['trace_*']``.
 
+This is the only simulation-depth setting: the simulators' counter
+depth (:func:`repro.profiling.profile_mode`) is derived from the level.
 Each rung returns the same :class:`~repro.sim.results.LayerResult`
 schema, so callers (sweeps, the pipeline, the CLI) choose cost without
-changing shape. The level comes from the ``fidelity=`` argument or the
-``REPRO_FIDELITY`` environment variable; results memoise through the
-content-hash result cache with fidelity-qualified kinds, so mixed-level
-runs never serve one rung's result to another.
+changing shape. The level resolves, in order, from an explicit
+``fidelity=`` argument, the innermost :func:`fidelity_scope`, then the
+``REPRO_FIDELITY`` environment variable. Scopes are ``contextvars``, so
+nothing rewrites the process environment; :func:`repro.core.parallel.
+parallel_map` carries the level to its workers. Results memoise through
+the content-hash result cache with fidelity-qualified kinds, so
+mixed-level runs never serve one rung's result to another.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import replace
+from typing import Iterator
 
-from repro import profiling, telemetry
+from repro import telemetry
 from repro.analytical.model import ANALYTICAL_SCHEMES, predict_layer
 from repro.core.env import env_choice
 from repro.nets.layers import ConvLayerSpec
@@ -38,35 +45,28 @@ __all__ = [
     "FIDELITY_LEVELS",
     "DEFAULT_FIDELITY",
     "fidelity_level",
+    "fidelity_scope",
     "fidelity_result_key",
     "simulate_at_fidelity",
 ]
 
-#: The ladder, cheapest first. ``trace`` subsumes ``timeline`` subsumes
-#: ``counters``; ``analytical`` never runs the cycle-level machine.
-FIDELITY_LEVELS = ("analytical", "counters", "timeline", "trace")
+#: The ladder, cheapest first. Each cycle-level rung subsumes the one
+#: before it; ``analytical`` never runs the cycle-level machine.
+FIDELITY_LEVELS = ("analytical", "cycles", "counters", "timeline", "trace")
 DEFAULT_FIDELITY = "counters"
 
 #: Schemes whose chunk-count streams the trace front end understands.
 _TRACEABLE = ("one_sided", "sparten_no_gb", "sparten_gb_s", "sparten")
 
-_PROFILE_FOR = {
-    "counters": profiling.MODE_COUNTERS,
-    "timeline": profiling.MODE_TIMELINE,
-    "trace": profiling.MODE_TIMELINE,
-}
-_PROFILE_ORDER = {
-    profiling.MODE_OFF: 0,
-    profiling.MODE_COUNTERS: 1,
-    profiling.MODE_TIMELINE: 2,
-}
+_SCOPED: ContextVar[str | None] = ContextVar("repro_fidelity", default=None)
 
 
 def fidelity_level(explicit: str | None = None) -> str:
     """Resolve the active fidelity level.
 
-    An explicit argument wins; otherwise ``REPRO_FIDELITY`` (validated,
-    warn-once on garbage) with the simulator default ``counters``.
+    An explicit argument wins; then the innermost :func:`fidelity_scope`;
+    then ``REPRO_FIDELITY`` (validated, warn-once on garbage) with the
+    default ``counters``.
     """
     if explicit is not None:
         if explicit not in FIDELITY_LEVELS:
@@ -74,27 +74,34 @@ def fidelity_level(explicit: str | None = None) -> str:
                 f"fidelity must be one of {FIDELITY_LEVELS}, got {explicit!r}"
             )
         return explicit
+    scoped = _SCOPED.get()
+    if scoped is not None:
+        return scoped
     return env_choice("REPRO_FIDELITY", DEFAULT_FIDELITY, FIDELITY_LEVELS)
 
 
 @contextmanager
-def _profile_env(wanted: str):
-    """Escalate ``REPRO_PROFILE`` to *wanted* for the duration.
+def fidelity_scope(level: str | None = None) -> Iterator[str]:
+    """Run the enclosed block at *level* (default: the resolved level).
 
-    Mirrors the CLI's profiler rule: only escalate, never downgrade an
-    explicit richer setting, and restore the environment on exit so the
-    ladder never leaks profile mode into the caller's process state.
+    Yields the level in force. Nested scopes shadow outer ones and the
+    previous level is restored on exit.
     """
-    previous = os.environ.get("REPRO_PROFILE")
-    if _PROFILE_ORDER[profiling.profile_mode()] < _PROFILE_ORDER[wanted]:
-        os.environ["REPRO_PROFILE"] = wanted
+    level = fidelity_level(level)
+    token = _SCOPED.set(level)
     try:
-        yield
+        yield level
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_PROFILE", None)
-        else:
-            os.environ["REPRO_PROFILE"] = previous
+        _SCOPED.reset(token)
+
+
+def _result_kind(scheme: str, level: str) -> str:
+    """The result-memo kind *scheme* publishes under at *level*."""
+    if level == "analytical":
+        return f"analytical:{scheme}"
+    if level == "trace" and scheme in _TRACEABLE:
+        return f"trace:{scheme}"
+    return scheme
 
 
 def fidelity_result_key(
@@ -106,21 +113,16 @@ def fidelity_result_key(
 ) -> tuple:
     """The memo key :func:`simulate_at_fidelity` publishes under.
 
-    The key depends on the profile mode the ladder will *escalate to*,
-    not the ambient one, so it is computed under the same
-    :func:`_profile_env` as the simulation. Distributed workers use this
-    to locate a unit's checkpoint-journal entry without running anything
-    -- it must stay in lockstep with :func:`simulate_at_fidelity`.
+    The key depends on the counter depth the level implies, so it is
+    computed inside the same scope as the simulation. Distributed
+    workers use this to locate a unit's checkpoint-journal entry
+    without running anything -- it must stay in lockstep with
+    :func:`simulate_at_fidelity`.
     """
     from repro.core import workload
 
-    level = fidelity_level(fidelity)
-    if level == "analytical":
-        return workload.result_key(f"analytical:{scheme}", spec, cfg, seed)
-    with _profile_env(_PROFILE_FOR[level]):
-        if level == "trace" and scheme in _TRACEABLE:
-            return workload.result_key(f"trace:{scheme}", spec, cfg, seed)
-        return workload.result_key(scheme, spec, cfg, seed)
+    with fidelity_scope(fidelity) as level:
+        return workload.result_key(_result_kind(scheme, level), spec, cfg, seed)
 
 
 def _attach_trace(
@@ -164,32 +166,27 @@ def simulate_at_fidelity(
     """
     from repro.core import compare, workload
 
-    level = fidelity_level(fidelity)
-    telemetry.count(f"fidelity.{level}.layers")
-    if level == "analytical":
-        if scheme not in ANALYTICAL_SCHEMES:
+    with fidelity_scope(fidelity) as level:
+        telemetry.count(f"fidelity.{level}.layers")
+        kind = _result_kind(scheme, level)
+        if kind == scheme:
+            return compare.run_scheme_cached(scheme, spec, cfg, seed)
+        if level == "analytical" and scheme not in ANALYTICAL_SCHEMES:
             raise ValueError(
                 f"scheme {scheme!r} has no analytical model "
                 f"(have {ANALYTICAL_SCHEMES})"
             )
-        key = workload.result_key(f"analytical:{scheme}", spec, cfg, seed)
+        key = workload.result_key(kind, spec, cfg, seed)
         result = workload.lookup_result(key)
         if result is None:
-            result = predict_layer(spec, cfg, scheme=scheme, seed=seed)
-            workload.store_result(key, result)
-        return result
-
-    with _profile_env(_PROFILE_FOR[level]):
-        if level == "trace" and scheme in _TRACEABLE:
-            key = workload.result_key(f"trace:{scheme}", spec, cfg, seed)
-            result = workload.lookup_result(key)
-            if result is None:
+            if level == "analytical":
+                result = predict_layer(spec, cfg, scheme=scheme, seed=seed)
+            else:
                 result = _attach_trace(
                     compare.run_scheme_cached(scheme, spec, cfg, seed),
                     spec,
                     cfg,
                     seed,
                 )
-                workload.store_result(key, result)
-            return result
-        return compare.run_scheme_cached(scheme, spec, cfg, seed)
+            workload.store_result(key, result)
+        return result

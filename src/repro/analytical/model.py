@@ -386,7 +386,7 @@ def _positional_result(
     Identical cluster reduction to the cycle simulators: weighted
     bincount per cluster, layer cycles = slowest cluster, inter loss =
     the other clusters' idle slots, zero MACs = occupied-but-useless
-    slots. Counters (and timelines) come from the same arrays, so the
+    slots. Counters come from the same arrays, so the
     conservation law holds by construction.
     """
     spec = stats.spec
@@ -409,9 +409,8 @@ def _positional_result(
         nonzero_macs=nonzero, zero_macs=zero, intra_loss=intra, inter_loss=inter
     )
 
-    mode = profiling.profile_mode()
     counters = None
-    if mode != profiling.MODE_OFF:
+    if profiling.profile_mode() != profiling.MODE_OFF:
         permute_slots = per_pos_permute * units
         busy_c = np.bincount(
             cluster_of, weights=per_pos_useful * weights, minlength=n_clusters
@@ -430,16 +429,6 @@ def _positional_result(
             * weights,
             minlength=n_clusters,
         )
-        bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
-        tl_cycles = tl_busy = None
-        if bins:
-            tl_cycles, tl_busy = profiling.positional_timeline(
-                cluster_of,
-                per_pos_barrier * weights,
-                per_pos_slots * weights,
-                n_clusters,
-                bins,
-            )
         counters = profiling.CounterSet(
             scheme=scheme,
             n_clusters=n_clusters,
@@ -453,8 +442,6 @@ def _positional_result(
             memory_stall=np.zeros(n_clusters, dtype=np.float64),
             barriers=barriers,
             buffer_hwm=dict(buffer_hwm or {}),
-            timeline_cycles=tl_cycles,
-            timeline_busy=tl_busy,
         )
 
     extras = observability_extras(breakdown)
@@ -568,9 +555,8 @@ def _predict_dense(
     )
     scheme = "dense_naive" if naive_buffers else "dense"
 
-    mode = profiling.profile_mode()
     counters = None
-    if mode != profiling.MODE_OFF:
+    if profiling.profile_mode() != profiling.MODE_OFF:
         issued_c = (
             assignment.cluster_positions.astype(np.float64)
             * spec.n_filters
@@ -579,18 +565,6 @@ def _predict_dense(
         useful_c = np.bincount(
             cluster_of, weights=stats.match_sums * weights, minlength=n_clusters
         )
-        bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
-        tl_cycles = tl_busy = None
-        if bins:
-            per_pos = np.full(cluster_of.size, float(n_groups * dot_length))
-            tl_cycles, tl_busy = profiling.positional_timeline(
-                cluster_of,
-                per_pos * weights,
-                np.full(cluster_of.size, float(spec.n_filters * dot_length))
-                * weights,
-                n_clusters,
-                bins,
-            )
         counters = profiling.CounterSet(
             scheme=scheme,
             n_clusters=n_clusters,
@@ -602,8 +576,6 @@ def _predict_dense(
             permute_stall=np.zeros(n_clusters, dtype=np.float64),
             imbalance_idle=(layer_cycles - cluster_cycles) * units,
             memory_stall=np.zeros(n_clusters, dtype=np.float64),
-            timeline_cycles=tl_cycles,
-            timeline_busy=tl_busy,
         )
     extras = observability_extras(breakdown)
     return LayerResult(
@@ -732,9 +704,8 @@ def _predict_scnn(
         inter_loss=inter,
     )
 
-    mode = profiling.profile_mode()
     counters = None
-    if mode != profiling.MODE_OFF:
+    if profiling.profile_mode() != profiling.MODE_OFF:
         in_pe = np.zeros((n_pes, c), dtype=np.float64)
         np.add.at(in_pe, pe_of_tile, tile_counts)
         in_nz_pe = np.zeros((n_pes, c), dtype=np.float64)
@@ -744,16 +715,6 @@ def _predict_scnn(
         products_pe = in_pe @ w_total
         both_nz_pe = in_nz_pe @ w_nz_total
         useful_pe = both_nz_pe * stride_factor
-        bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
-        timeline_cycles = timeline_busy = None
-        if bins:
-            bin_of = (np.arange(c) * bins) // max(c, 1)
-            onehot = (bin_of[:, None] == np.arange(bins)[None, :]).astype(
-                np.float64
-            )
-            wall_ch = max_pe * sum_ceil_w
-            timeline_cycles = np.tile(wall_ch @ onehot, (n_pes, 1))
-            timeline_busy = (issued_slots * macs_per_pe) @ onehot
         counters = profiling.CounterSet(
             scheme=scheme,
             n_clusters=n_pes,
@@ -770,8 +731,6 @@ def _predict_scnn(
                 "input_tile_values": float(tile_nnz.max(initial=0)),
                 "weight_group_values": float(group_weights.max(initial=0)),
             },
-            timeline_cycles=timeline_cycles,
-            timeline_busy=timeline_busy,
         )
 
     traffic_scheme = {"two": "two_sided", "one": "one_sided", "dense": "dense"}[

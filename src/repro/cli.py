@@ -245,6 +245,10 @@ def _run_prescreen(args):
     return render_prescreened(result, spec.name)
 
 
+#: ``repro.analytical.fidelity.FIDELITY_LEVELS``, spelled out so the
+#: CLI does not import the analytical tier at start-up.
+FIDELITY_CHOICES = ("analytical", "cycles", "counters", "timeline", "trace")
+
 #: experiment id -> (runner, description).
 EXPERIMENTS: dict[str, tuple[Callable, str]] = {
     "fig7": (_run_fig7, "AlexNet speedup over Dense (Figure 7)"),
@@ -337,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="journal finished results to DIR and skip work "
                           "already journaled there (checkpoint/resume)")
     run.add_argument("--fidelity", default=None,
-                     choices=("analytical", "counters", "timeline", "trace"),
-                     help="fidelity-ladder rung for fidelity-aware "
-                          "experiments (default: $REPRO_FIDELITY)")
+                     choices=FIDELITY_CHOICES,
+                     help="fidelity-ladder rung for the whole run "
+                          "(default: $REPRO_FIDELITY, else counters)")
     _add_observability_flags(run)
 
     estimate = sub.add_parser(
@@ -389,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the profile.json payload to PATH")
     profile.add_argument("--trace", metavar="PATH", default=None,
                          help="write a Chrome trace with per-cluster cycle "
-                              "timeline rows to PATH (forces "
-                              "REPRO_PROFILE=timeline)")
+                              "timeline rows to PATH (profiles at the "
+                              "timeline fidelity level)")
 
     stats = sub.add_parser("stats", help="pretty-print a run manifest")
     stats.add_argument("manifest", help="path to a manifest.json")
@@ -451,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output positions sampled per cluster "
                             "(0 = exact full resolution; default 200)")
     sweep.add_argument("--fidelity", default=None,
-                       choices=("analytical", "counters", "timeline", "trace"),
+                       choices=FIDELITY_CHOICES,
                        help="fidelity-ladder rung for every unit")
     sweep.add_argument("--no-steal", action="store_true",
                        help="do not execute other shards' units after "
@@ -591,8 +595,6 @@ def _main_dist(args: argparse.Namespace) -> int:
     if args.shard:
         dist_shard.parse_shard(args.shard)  # fail fast on garbage
         os.environ["REPRO_SHARD"] = args.shard
-    if getattr(args, "fidelity", None):
-        os.environ["REPRO_FIDELITY"] = args.fidelity
     # The store directory is the one thing workers share; keep the
     # workload disk cache inside it unless the operator says otherwise,
     # so co-operating shards also share the expensive mask work.
@@ -752,55 +754,59 @@ def _main_inspect(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    fidelity = getattr(args, "fidelity", None)
+    if fidelity is None:
+        return _dispatch(args)
+    from repro.analytical.fidelity import fidelity_scope
+
+    # The flag scopes the whole command, manifest included, and
+    # parallel_map carries it into worker processes.
+    with fidelity_scope(fidelity):
+        return _dispatch(args)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         width = max(len(name) for name in EXPERIMENTS)
         for name, (_fn, description) in sorted(EXPERIMENTS.items()):
             print(f"{name.ljust(width)}  {description}")
         return 0
     if args.command == "estimate":
-        from repro import profiling
         from repro.analytical import estimate as est
+        from repro.analytical.fidelity import fidelity_scope
 
-        # Analytical counters ride the same profile switch; escalate off
-        # -> counters exactly like the profiler (never downgrade).
-        if profiling.profile_mode() == profiling.MODE_OFF:
-            os.environ["REPRO_PROFILE"] = profiling.MODE_COUNTERS
         telemetry.reset()
         schemes = (
             tuple(s.strip() for s in args.schemes.split(",") if s.strip())
             if args.schemes
             else est.DEFAULT_ESTIMATE_SCHEMES
         )
-        payload = est.estimate_network(
-            network=args.network,
-            schemes=schemes,
-            fast=not args.exact,
-            seed=args.seed,
-            layer=args.layer,
-        )
-        print(est.render_estimate(payload))
-        if args.compare:
-            comparison = est.compare_estimate(
-                args.network,
-                args.compare,
+        # The analytical rung carries counters; --compare simulates at
+        # the same counter depth.
+        with fidelity_scope("analytical"):
+            payload = est.estimate_network(
+                network=args.network,
                 schemes=schemes,
                 fast=not args.exact,
                 seed=args.seed,
+                layer=args.layer,
             )
-            print()
-            print(est.render_estimate_comparison(comparison))
+            print(est.render_estimate(payload))
+            if args.compare:
+                comparison = est.compare_estimate(
+                    args.network,
+                    args.compare,
+                    schemes=schemes,
+                    fast=not args.exact,
+                    seed=args.seed,
+                )
+                print()
+                print(est.render_estimate_comparison(comparison))
         return 0
     if args.command == "profile":
         from repro import profiling
+        from repro.analytical.fidelity import fidelity_scope
 
-        # The profiler needs counters on; --trace needs timelines too.
-        # Only escalate -- never downgrade an explicit REPRO_PROFILE.
-        wanted = profiling.MODE_TIMELINE if args.trace else profiling.MODE_COUNTERS
-        if profiling.profile_mode() == profiling.MODE_OFF or (
-            wanted == profiling.MODE_TIMELINE
-            and profiling.profile_mode() != profiling.MODE_TIMELINE
-        ):
-            os.environ["REPRO_PROFILE"] = wanted
         telemetry.reset()
         profiling.reset_sim_clock()
         schemes = (
@@ -808,13 +814,15 @@ def main(argv: list[str] | None = None) -> int:
             if args.schemes
             else profiling.DEFAULT_SCHEMES
         )
-        payload = profiling.profile_network(
-            network=args.network,
-            schemes=schemes,
-            fast=not args.exact,
-            seed=args.seed,
-            layer=args.layer,
-        )
+        # The profiler needs counters; --trace needs timelines too.
+        with fidelity_scope("timeline" if args.trace else "counters"):
+            payload = profiling.profile_network(
+                network=args.network,
+                schemes=schemes,
+                fast=not args.exact,
+                seed=args.seed,
+                layer=args.layer,
+            )
         print(profiling.render_attribution(payload))
         if args.output:
             profiling.write_profile_json(args.output, payload)
@@ -889,10 +897,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     args.fast = not args.exact
     runner, _ = EXPERIMENTS[args.experiment]
-    if getattr(args, "fidelity", None):
-        # Fidelity-aware paths (sweeps, the pipeline) read the ladder
-        # level from the environment; the flag is the per-run override.
-        os.environ["REPRO_FIDELITY"] = args.fidelity
     from repro.telemetry import events
     from repro.telemetry.metrics import MetricsSnapshotter, metrics_path
 

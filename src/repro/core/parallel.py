@@ -40,6 +40,11 @@ item is retried or a pool dies. ``REPRO_FAULT`` (see
 kills and stalls at the per-item boundary so every one of these paths is
 exercised in tests and CI.
 
+The parent's fidelity level (:mod:`repro.analytical.fidelity`) is
+passed to every worker attempt, which runs its item in a scope at that
+level, so a scoped level reaches workers without touching the
+environment.
+
 Observability rides the same boundary three ways:
 
 - **Trace context**: the parent's open ``parallel_map`` span id is
@@ -110,6 +115,7 @@ def _instrumented_call(
     token: str,
     attempt: int,
     trace_parent: str | None = None,
+    fidelity: str | None = None,
 ) -> tuple[R, dict]:
     """Worker-side wrapper: run *fn* in a fresh telemetry window.
 
@@ -125,13 +131,18 @@ def _instrumented_call(
     stream goes to a private part file whose path travels back inside
     the snapshot (``events_part``) -- flushed and closed before the
     result returns, so a kept result always names a complete file.
+
+    *fidelity* is the parent's fidelity level, scoped around *fn*.
     """
+    from repro.analytical.fidelity import fidelity_scope
+
     telemetry.reset()
     telemetry.set_trace_parent(trace_parent)
     events.begin_attempt(token, attempt)
     try:
         faults.fault_point(token, attempt)
-        result = fn(item)
+        with fidelity_scope(fidelity):
+            result = fn(item)
     except BaseException:
         events.end_attempt()  # the orphaned part file dies at pool join
         raise
@@ -157,6 +168,8 @@ def parallel_map(
     n = default_jobs() if jobs is None else max(1, int(jobs))
     if _IN_WORKER or n <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from repro.analytical.fidelity import fidelity_level
+
     policy = RetryPolicy.from_env()
     ctx = mp.get_context("spawn")
     results: list = [_PENDING] * len(items)
@@ -186,6 +199,7 @@ def parallel_map(
         # The open parallel_map span is the trace context every worker
         # attempt adopts, re-parenting its spans in the merged trace.
         trace_ctx = telemetry.current_span_id()
+        level = fidelity_level()
         pool = ProcessPoolExecutor(
             max_workers=pool_size,
             mp_context=ctx,
@@ -194,7 +208,8 @@ def parallel_map(
         try:
             pending = {
                 i: pool.submit(
-                    _instrumented_call, fn, items[i], f"item{i}", 0, trace_ctx
+                    _instrumented_call, fn, items[i], f"item{i}", 0, trace_ctx,
+                    level,
                 )
                 for i in range(len(items))
             }
@@ -255,6 +270,7 @@ def parallel_map(
                                 pending[idx] = pool.submit(
                                     _instrumented_call, fn, items[idx],
                                     f"item{idx}", attempts[idx], trace_ctx,
+                                    level,
                                 )
                             except (BrokenProcessPool, RuntimeError):
                                 broken = True

@@ -87,8 +87,8 @@ class NetworkPipeline:
         variant: greedy-balancing variant (``gb_s`` exercises the offline
             unshuffling; ``gb_h``/``no_gb`` leave channel order alone).
         fidelity: fidelity-ladder rung for the per-layer performance
-            numbers (default: the ``REPRO_FIDELITY`` environment
-            setting). ``"analytical"`` predicts each layer in closed
+            numbers (default: the active level, see
+            :func:`~repro.analytical.fidelity.fidelity_level`). ``"analytical"`` predicts each layer in closed
             form from the *measured* activations -- the network function,
             densities and GB-S unshuffling checks are always exact; only
             the cycle estimate changes rungs.
@@ -229,19 +229,18 @@ class NetworkPipeline:
         result memo; the ``trace`` rung degrades to ``timeline`` here
         (the trace front end keys off the workload cache).
         """
-        from repro.analytical.fidelity import _profile_env, _PROFILE_FOR, fidelity_level
+        from repro.analytical.fidelity import fidelity_scope
 
-        level = fidelity_level(self.fidelity)
-        if level == "analytical":
-            from repro.analytical.model import predict_layer
+        with fidelity_scope(self.fidelity) as level:
+            if level == "analytical":
+                from repro.analytical.model import predict_layer
 
-            scheme = {
-                "no_gb": "sparten_no_gb",
-                "gb_s": "sparten_gb_s",
-                "gb_h": "sparten",
-            }[self.variant]
-            return predict_layer(spec, self.config, scheme=scheme, data=data)
-        with _profile_env(_PROFILE_FOR[level]):
+                scheme = {
+                    "no_gb": "sparten_no_gb",
+                    "gb_s": "sparten_gb_s",
+                    "gb_h": "sparten",
+                }[self.variant]
+                return predict_layer(spec, self.config, scheme=scheme, data=data)
             return simulate_sparten(
                 spec, self.config, variant=self.variant, data=data
             )

@@ -10,8 +10,8 @@ those products *by value* so the redundancy disappears:
   keyed by the layer spec's fields, the image seed, and the config knobs
   the kernel actually reads -- ``chunk_size``, ``n_clusters``,
   ``position_sample`` (batch enters through per-image seeds). Entries
-  live in a bounded in-memory LRU (``REPRO_CACHE_ENTRIES`` /
-  ``REPRO_CACHE_BYTES``) with an optional on-disk ``.npz`` store under
+  live in a bounded in-memory LRU (:data:`CACHE_ENTRIES` entries and
+  ``REPRO_CACHE_BYTES`` bytes) with an optional on-disk ``.npz`` store under
   ``$REPRO_CACHE_DIR`` that persists across processes. A cached entry
   computed with ``need_counts=False`` is upgraded in place when a caller
   later needs the counts tensor.
@@ -51,7 +51,6 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from repro import profiling, telemetry
-from repro.core import timing
 from repro.telemetry import events
 from repro.core.env import env_int
 from repro.resilience import checkpoint, faults
@@ -173,14 +172,16 @@ class _LRU:
             self.stats.reset()
 
 
+#: Entry bounds of the workload cache and the result memo.
+CACHE_ENTRIES = 256
+RESULT_ENTRIES = 16384
+
 _WORKLOADS = _LRU(
-    max_entries=env_int("REPRO_CACHE_ENTRIES", 256, minimum=0),
+    max_entries=CACHE_ENTRIES,
     max_bytes=env_int("REPRO_CACHE_BYTES", 2 * 1024**3, minimum=0),
     name="workload",
 )
-_RESULTS = _LRU(
-    max_entries=env_int("REPRO_RESULT_ENTRIES", 16384, minimum=0), name="result"
-)
+_RESULTS = _LRU(max_entries=RESULT_ENTRIES, name="result")
 
 _log = telemetry.get_logger("workload")
 
@@ -205,7 +206,8 @@ def workload_key(spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -> tuple:
 def result_key(kind: str, spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -> tuple:
     """Content key for one finished per-layer simulation result.
 
-    The active ``REPRO_PROFILE`` mode participates so a result computed
+    The active counter depth (:func:`repro.profiling.profile_mode`,
+    derived from the fidelity level) participates so a result computed
     without counters (or without timelines) is never served to a run
     that expects them -- figure values are identical across modes, but
     the attached :class:`~repro.profiling.counters.CounterSet` is not.
@@ -437,7 +439,7 @@ def _disk_store(key: tuple, pair: tuple[LayerData, ChunkWork]) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with timing.stage("cache_disk"), os.fdopen(fd, "wb") as fh:
+            with telemetry.span("cache_disk"), os.fdopen(fd, "wb") as fh:
                 np.savez(fh, **payload)
             os.replace(tmp, path)
             telemetry.count("cache.disk.store")
@@ -467,7 +469,7 @@ def _disk_load(
     if path is None or not path.exists():
         return None
     try:
-        with timing.stage("cache_disk"), np.load(path, allow_pickle=False) as z:
+        with telemetry.span("cache_disk"), np.load(path, allow_pickle=False) as z:
             if str(z["key"][()]) != repr(key):
                 # Digest collision: the 96-bit file name matched but the
                 # full key does not. Recompute rather than trust -- and

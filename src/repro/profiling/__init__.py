@@ -5,16 +5,18 @@ The cycle simulators (:mod:`repro.sim.dense`, :mod:`repro.sim.sparten`,
 attach a :class:`~repro.profiling.counters.CounterSet` to every
 :class:`~repro.sim.results.LayerResult`: per-cluster busy/idle/stall
 MAC-cycles split by cause, buffer-occupancy high-water marks and
-(optionally) down-sampled cycle timelines. The ``REPRO_PROFILE`` knob
-selects the depth, pay-for-what-you-use:
+(optionally) down-sampled cycle timelines. The depth is not a setting of
+its own: :func:`profile_mode` derives it from the fidelity level
+(:mod:`repro.analytical.fidelity`), pay-for-what-you-use:
 
-- ``off``      -- no counters; the simulators skip all per-cluster
-  reductions (the fast path for headline figure regeneration).
-- ``counters`` -- the default: per-cluster buckets + high-water marks.
-- ``timeline`` -- counters plus fixed-size progress histograms per
-  cluster, exported as per-cluster rows in the Chrome trace (one sim
-  cycle renders as one microsecond, each scheme on its own sim clock
-  starting at 0).
+- ``off``      -- at ``cycles``: no counters; the simulators skip all
+  per-cluster reductions.
+- ``counters`` -- at ``analytical`` and ``counters`` (the default):
+  per-cluster buckets + high-water marks.
+- ``timeline`` -- at ``timeline`` and ``trace``: counters plus
+  :data:`TIMELINE_BINS` progress bins per cluster, exported as
+  per-cluster rows in the Chrome trace (one sim cycle renders as one
+  microsecond, each scheme on its own sim clock starting at 0).
 
 :func:`record_layer` folds a finished layer's counters into the
 telemetry recorder (``profile.<scheme>.<bucket>_mac_cycles`` counters,
@@ -46,8 +48,8 @@ __all__ = [
     "CounterSet",
     "zero_counters",
     "positional_timeline",
+    "TIMELINE_BINS",
     "profile_mode",
-    "timeline_bins",
     "record_layer",
     "reset_sim_clock",
     "profile_network",
@@ -61,7 +63,17 @@ MODE_OFF = "off"
 MODE_COUNTERS = "counters"
 MODE_TIMELINE = "timeline"
 
-_MODES = (MODE_OFF, MODE_COUNTERS, MODE_TIMELINE)
+#: Counter depth per fidelity level.
+_MODE_FOR = {
+    "analytical": MODE_COUNTERS,
+    "cycles": MODE_OFF,
+    "counters": MODE_COUNTERS,
+    "timeline": MODE_TIMELINE,
+    "trace": MODE_TIMELINE,
+}
+
+#: Progress bins per cluster timeline.
+TIMELINE_BINS = 32
 
 #: Trace pids for simulated-time rows live far above real OS pids.
 _SIM_PID_BASE = 900_000_000
@@ -71,19 +83,12 @@ _sim_clock: dict[str, float] = {}
 
 
 def profile_mode() -> str:
-    """The active ``REPRO_PROFILE`` mode (``off``/``counters``/``timeline``)."""
-    # Imported lazily: repro.core.__init__ pulls in the simulators, which
-    # import this package at module level.
-    from repro.core.env import env_choice
+    """The counter depth (``off``/``counters``/``timeline``) of the active level."""
+    # Imported lazily: the fidelity module imports the analytical model,
+    # which imports this package at module level.
+    from repro.analytical.fidelity import fidelity_level
 
-    return env_choice("REPRO_PROFILE", MODE_COUNTERS, _MODES)
-
-
-def timeline_bins() -> int:
-    """Progress bins per cluster timeline (``REPRO_PROFILE_BINS``, >= 4)."""
-    from repro.core.env import env_int
-
-    return env_int("REPRO_PROFILE_BINS", 32, minimum=4)
+    return _MODE_FOR[fidelity_level()]
 
 
 def reset_sim_clock() -> None:

@@ -44,8 +44,9 @@ def profile_network(
 
     Returns the JSON-able ``repro-profile/1`` payload: per-layer counter
     dumps, machine-wide bucket totals per scheme, and the conservation /
-    GB-invariant check results. Requires ``REPRO_PROFILE`` to not be
-    ``off`` (the CLI forces ``counters`` before calling).
+    GB-invariant check results. Requires a fidelity level that carries
+    counters (the CLI scopes ``counters``, or ``timeline`` for
+    ``--trace``, around the call).
     """
     from repro import profiling
     from repro.core.compare import compare_architectures
@@ -55,8 +56,8 @@ def profile_network(
     mode = profiling.profile_mode()
     if mode == profiling.MODE_OFF:
         raise RuntimeError(
-            "profiling is disabled (REPRO_PROFILE=off); set REPRO_PROFILE to "
-            "'counters' or 'timeline' to collect hardware counters"
+            "profiling is disabled at fidelity level 'cycles'; use "
+            "'counters' or a richer level to collect hardware counters"
         )
     net = network_by_name(network)
     cfg = config_for(net)

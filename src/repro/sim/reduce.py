@@ -38,8 +38,8 @@ is what lets ``REPRO_FUSE`` modes promise byte-identical figures.
 ``REPRO_FUSE`` selects when workloads keep the counts tensor:
 
 - ``auto`` (default): fuse only when the native engine is available and
-  the counts tensor would be large (``REPRO_FUSE_AUTO_BYTES``, default
-  64 MiB) -- small workloads keep counts for cheap reuse.
+  the counts tensor would be large (at least 64 MiB) -- small
+  workloads keep counts for cheap reuse.
 - ``on``: never materialize counts (the NumPy fallback streams blocks).
 - ``off``: always materialize counts (the pre-engine behaviour).
 
@@ -74,8 +74,8 @@ __all__ = [
 #: temporary to ~32 MB of int64 regardless of layer size).
 _BLOCK_ELEMS = 4 << 20
 
-#: Default REPRO_FUSE=auto threshold: fuse when the counts tensor would
-#: exceed this many bytes.
+#: REPRO_FUSE=auto threshold: fuse when the counts tensor would reach
+#: this many bytes.
 _AUTO_FUSE_BYTES = 64 << 20
 
 
@@ -95,11 +95,7 @@ def fusion_active(counts_nbytes: int) -> bool:
         return False
     if mode == "on":
         return True
-    from repro.core.env import env_int
-
-    return native.available() and counts_nbytes >= env_int(
-        "REPRO_FUSE_AUTO_BYTES", _AUTO_FUSE_BYTES, minimum=0
-    )
+    return native.available() and counts_nbytes >= _AUTO_FUSE_BYTES
 
 
 @dataclass(frozen=True)

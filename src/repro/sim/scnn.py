@@ -71,7 +71,7 @@ def simulate_scnn(
 
     mode = profiling.profile_mode()
     profile = mode != profiling.MODE_OFF
-    bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
+    bins = profiling.TIMELINE_BINS if mode == profiling.MODE_TIMELINE else 0
 
     cycles_total = 0.0
     useful = 0.0

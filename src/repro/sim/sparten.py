@@ -120,7 +120,7 @@ def simulate_sparten(
 
     mode = profiling.profile_mode()
     profile = mode != profiling.MODE_OFF
-    bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
+    bins = profiling.TIMELINE_BINS if mode == profiling.MODE_TIMELINE else 0
 
     cluster_cycles = np.zeros(n_clusters, dtype=np.float64)
     nonzero = 0.0

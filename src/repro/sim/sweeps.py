@@ -96,7 +96,8 @@ def machine_scaling_sweep(
     dense machine, machine utilisation (useful MACs / MAC-cycles), and
     the loss fractions. Scaling efficiency = utilisation relative to the
     smallest machine's. *fidelity* picks the ladder rung (default: the
-    ``REPRO_FIDELITY`` environment setting); ``"analytical"`` scores the
+    active level, see :func:`~repro.analytical.fidelity.fidelity_level`);
+    ``"analytical"`` scores the
     whole sweep without running the cycle-level machine.
 
     *shard* (``(index, count)`` or ``"I/N"``) restricts the sweep to

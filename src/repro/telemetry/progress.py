@@ -5,7 +5,7 @@ points, report experiments) and paints, on **stderr**:
 
 - an in-place ``\\r``-rewritten status line when stderr is a TTY, or
 - plain timestamp-friendly heartbeat lines (one every
-  ``REPRO_PROGRESS_INTERVAL`` seconds) when it is not -- what you want
+  :data:`HEARTBEAT_INTERVAL` seconds) when it is not -- what you want
   in a CI log or a redirected nohup file.
 
 The line reports items/sec, ETA, the workload-cache hit rate, the retry
@@ -52,10 +52,8 @@ def progress_mode() -> str:
     return "tty" if tty else "off"
 
 
-def _heartbeat_interval() -> float:
-    from repro.core.env import env_float
-
-    return env_float("REPRO_PROGRESS_INTERVAL", 5.0, minimum=0.1)
+#: Seconds between heartbeat lines off-TTY.
+HEARTBEAT_INTERVAL = 5.0
 
 
 def _fmt_eta(seconds: float) -> str:
@@ -89,7 +87,6 @@ class ProgressRenderer:
         self._t0 = time.monotonic()
         self._last_paint = -float("inf")
         self._last_line_len = 0
-        self._interval = _heartbeat_interval()
         self._closed = False
 
     # -- data ---------------------------------------------------------------
@@ -138,14 +135,14 @@ class ProgressRenderer:
         final = self.done >= self.total
         if self.mode == "off":
             # Still heartbeat into the event stream, at the same rate.
-            if final or now - self._last_paint >= self._interval:
+            if final or now - self._last_paint >= HEARTBEAT_INTERVAL:
                 self._last_paint = now
                 events.emit("progress", **self._snapshot_stats(stats))
             return
         if self.mode == "tty":
             if not final and now - self._last_paint < _MIN_REDRAW:
                 return
-        elif not final and now - self._last_paint < self._interval:
+        elif not final and now - self._last_paint < HEARTBEAT_INTERVAL:
             return
         self._last_paint = now
         payload = self._snapshot_stats(stats)

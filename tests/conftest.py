@@ -9,6 +9,8 @@ tests.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,19 @@ def strided_spec() -> ConvLayerSpec:
         input_density=0.6,
         filter_density=0.5,
     )
+
+
+@pytest.fixture
+def at_level():
+    """``at_level(level)`` runs the rest of the test at a fidelity level.
+
+    Each call enters a :func:`~repro.analytical.fidelity.fidelity_scope`
+    (a later call shadows an earlier one); all are left at teardown.
+    """
+    from repro.analytical.fidelity import fidelity_scope
+
+    with ExitStack() as stack:
+        yield lambda level: stack.enter_context(fidelity_scope(level))
 
 
 @pytest.fixture

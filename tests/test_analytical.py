@@ -10,11 +10,17 @@ Covers the contracts the pre-screened sweep leans on:
   for bit and the calibrated SparTen models stay inside the validation
   bounds,
 - every fidelity-ladder rung returns the shared LayerResult schema,
+- the level resolves explicit > scope > ``REPRO_FIDELITY``, sets the
+  simulators' counter depth, reaches pool workers and the manifest, and
+  never touches ``os.environ``,
 - predicted cycles are monotone in workload density,
 - the two-phase sweep's result schema.
 """
 
 from __future__ import annotations
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from repro.analytical.density import (
 from repro.analytical.fidelity import (
     FIDELITY_LEVELS,
     fidelity_level,
+    fidelity_scope,
     simulate_at_fidelity,
 )
 from repro.analytical.model import ANALYTICAL_SCHEMES, predict_layer
@@ -228,7 +235,12 @@ class TestFidelityLadder:
             assert result.breakdown.total > 0
             cycles[level] = result.cycles
         # The cycle-level rungs answer identically; analytical approximates.
-        assert cycles["counters"] == cycles["timeline"] == cycles["trace"]
+        assert (
+            cycles["cycles"]
+            == cycles["counters"]
+            == cycles["timeline"]
+            == cycles["trace"]
+        )
 
     def test_trace_rung_attaches_trace_extras(self, tiny_spec, mini_cfg):
         result = simulate_at_fidelity(
@@ -261,6 +273,99 @@ class TestFidelityLadder:
             "dense", tiny_spec, mini_cfg, seed=0, fidelity="analytical"
         )
         assert second is first
+
+
+def _timeline_width(seed: int):
+    """Pool-worker probe: timeline bins on one simulated layer (or None)."""
+    from repro.sim.config import HardwareConfig
+    from repro.sim.sparten import simulate_sparten
+
+    spec = ConvLayerSpec(
+        name="probe", in_height=6, in_width=5, in_channels=10, kernel=3,
+        n_filters=12, stride=1, padding=1, input_density=0.5,
+        filter_density=0.4,
+    )
+    cfg = HardwareConfig(
+        name="mini", n_clusters=3, units_per_cluster=4, chunk_size=16,
+        bisection_width=2,
+    )
+    timeline = simulate_sparten(spec, cfg, seed=seed).counters.timeline_cycles
+    return None if timeline is None else timeline.shape[1]
+
+
+class TestFidelityScope:
+    def test_precedence_explicit_then_scope_then_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FIDELITY", "cycles")
+        assert fidelity_level() == "cycles"
+        with fidelity_scope("timeline") as level:
+            assert level == "timeline"
+            assert fidelity_level() == "timeline"
+            assert fidelity_level("analytical") == "analytical"
+            with fidelity_scope("trace"):
+                assert fidelity_level() == "trace"
+            assert fidelity_level() == "timeline"
+        assert fidelity_level() == "cycles"
+        with pytest.raises(ValueError, match="fidelity"):
+            with fidelity_scope("cycle_accurate"):
+                pass
+
+    def test_level_sets_counter_depth(self, tiny_spec, mini_cfg):
+        from repro import profiling
+
+        expected = {
+            "analytical": profiling.MODE_COUNTERS,
+            "cycles": profiling.MODE_OFF,
+            "counters": profiling.MODE_COUNTERS,
+            "timeline": profiling.MODE_TIMELINE,
+            "trace": profiling.MODE_TIMELINE,
+        }
+        for level in FIDELITY_LEVELS:
+            with fidelity_scope(level):
+                assert profiling.profile_mode() == expected[level], level
+            counters = simulate_at_fidelity(
+                "sparten", tiny_spec, mini_cfg, seed=0, fidelity=level
+            ).counters
+            if level == "cycles":
+                assert counters is None
+                continue
+            timeline = expected[level] == profiling.MODE_TIMELINE
+            assert (counters.timeline_cycles is not None) == timeline, level
+
+    def test_parallel_map_carries_scoped_level(self, monkeypatch):
+        from repro import profiling
+        from repro.core.parallel import parallel_map
+
+        monkeypatch.delenv("REPRO_FIDELITY", raising=False)
+        assert parallel_map(_timeline_width, [0, 1], jobs=2) == [None, None]
+        with fidelity_scope("timeline"):
+            widths = parallel_map(_timeline_width, [0, 1], jobs=2)
+        assert widths == [profiling.TIMELINE_BINS] * 2
+
+    def test_manifest_records_level_used(self):
+        from repro.telemetry.manifest import build_manifest
+
+        assert build_manifest()["fidelity"] == fidelity_level()
+        with fidelity_scope("trace"):
+            assert build_manifest()["fidelity"] == "trace"
+
+    def test_cli_scopes_level_without_touching_environ(self, tmp_path, capsys):
+        from repro import telemetry
+        from repro.cli import main
+
+        environ = dict(os.environ)
+        manifest = tmp_path / "manifest.json"
+        assert main(["run", "fig7", "--fidelity", "timeline",
+                     "--manifest", str(manifest)]) == 0
+        assert json.loads(manifest.read_text())["fidelity"] == "timeline"
+        assert dict(os.environ) == environ
+        assert main(["profile", "--layer", "Layer2", "--schemes", "dense",
+                     "--trace", str(tmp_path / "trace.json")]) == 0
+        assert dict(os.environ) == environ
+        assert main(["estimate", "--layer", "Layer2"]) == 0
+        assert dict(os.environ) == environ
+        assert fidelity_level() == environ.get("REPRO_FIDELITY", "counters")
+        capsys.readouterr()
+        telemetry.reset()
 
 
 class TestMonotonicity:

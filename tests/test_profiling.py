@@ -1,7 +1,7 @@
 """The microarchitectural profiler: counters, conservation, timelines.
 
-Every simulator attaches a :class:`CounterSet` to its results unless
-``REPRO_PROFILE=off``; these tests pin the conservation law (busy + idle
+Every simulator attaches a :class:`CounterSet` to its results except at
+fidelity level ``cycles``; these tests pin the conservation law (busy + idle
 + stall == total cycles x units, per cluster) across every scheme and
 both sided modes, the timeline shapes, the batch/roofline arithmetic,
 and the plumbing: extras schema, telemetry counters, trace metadata,
@@ -80,8 +80,8 @@ def test_observability_extras_schema():
 # The conservation law, across every scheme and sided mode.
 
 
-def test_conservation_all_schemes(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+def test_conservation_all_schemes(tiny_spec, mini_cfg, at_level):
+    at_level("counters")
     for label, result in _all_results(tiny_spec, mini_cfg):
         counters = result.counters
         assert counters is not None, label
@@ -93,16 +93,16 @@ def test_conservation_all_schemes(tiny_spec, mini_cfg, monkeypatch):
         assert 0.0 < counters.utilization() <= 1.0, label
 
 
-def test_conservation_strided(strided_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+def test_conservation_strided(strided_spec, mini_cfg, at_level):
+    at_level("counters")
     for label, result in _all_results(strided_spec, mini_cfg):
         assert result.counters.check_conservation(rtol=1e-9) <= 1e-9, label
 
 
 @pytest.mark.parametrize("seed", [11, 29, 47])
-def test_conservation_property_random_layers(seed, mini_cfg, monkeypatch):
+def test_conservation_property_random_layers(seed, mini_cfg, at_level):
     """Property-style: random shapes/densities never leak MAC-cycles."""
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    at_level("counters")
     rng = np.random.default_rng(seed)
     spec = ConvLayerSpec(
         name=f"rand{seed}",
@@ -120,18 +120,18 @@ def test_conservation_property_random_layers(seed, mini_cfg, monkeypatch):
         assert result.counters.check_conservation(rtol=1e-9) <= 1e-9, label
 
 
-def test_off_mode_attaches_no_counters(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "off")
+def test_off_mode_attaches_no_counters(tiny_spec, mini_cfg, at_level):
+    at_level("cycles")
     for label, result in _all_results(tiny_spec, mini_cfg):
         assert result.counters is None, label
 
 
-def test_profiling_never_changes_results(tiny_spec, mini_cfg, monkeypatch):
+def test_profiling_never_changes_results(tiny_spec, mini_cfg, at_level):
     """Figures are byte-identical across off/counters/timeline."""
     by_mode = {}
-    for mode in ("off", "counters", "timeline"):
-        monkeypatch.setenv("REPRO_PROFILE", mode)
-        by_mode[mode] = _all_results(tiny_spec, mini_cfg)
+    for level in ("cycles", "counters", "timeline"):
+        at_level(level)
+        by_mode[level] = _all_results(tiny_spec, mini_cfg)
     for (label, off), (_, cnt), (_, tl) in zip(*by_mode.values()):
         assert off.cycles == cnt.cycles == tl.cycles, label
         assert off.breakdown == cnt.breakdown == tl.breakdown, label
@@ -141,14 +141,14 @@ def test_profiling_never_changes_results(tiny_spec, mini_cfg, monkeypatch):
 # Timelines.
 
 
-def test_timeline_shapes_and_row_sums(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "timeline")
-    monkeypatch.setenv("REPRO_PROFILE_BINS", "8")
+def test_timeline_shapes_and_row_sums(tiny_spec, mini_cfg, at_level):
+    at_level("timeline")
+    bins = profiling.TIMELINE_BINS
     for label, result in _all_results(tiny_spec, mini_cfg):
         counters = result.counters
         assert counters.timeline_cycles is not None, label
-        assert counters.timeline_cycles.shape == (counters.n_clusters, 8), label
-        assert counters.timeline_busy.shape == (counters.n_clusters, 8), label
+        assert counters.timeline_cycles.shape == (counters.n_clusters, bins), label
+        assert counters.timeline_busy.shape == (counters.n_clusters, bins), label
         # Rows sum to each cluster's wall cycles; the slowest cluster
         # defines the layer.
         row_sums = counters.timeline_cycles.sum(axis=1)
@@ -170,8 +170,8 @@ def test_positional_timeline_binning():
     assert tl_busy.tolist() == [[6.0, 14.0], [10.0, 12.0]]
 
 
-def test_counters_mode_skips_timelines(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+def test_counters_mode_skips_timelines(tiny_spec, mini_cfg, at_level):
+    at_level("counters")
     result = simulate_sparten(tiny_spec, mini_cfg)
     assert result.counters is not None
     assert result.counters.timeline_cycles is None
@@ -245,8 +245,8 @@ def test_counterset_roundtrip_and_check_failure():
 # Roofline, batch accumulation, network aggregation.
 
 
-def test_fpga_roofline_charges_memory_stall(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+def test_fpga_roofline_charges_memory_stall(tiny_spec, mini_cfg, at_level):
+    at_level("counters")
     result = simulate_sparten(tiny_spec, mini_cfg)
     bounded = apply_roofline(result, bytes_per_cycle=0.05)
     assert bounded.cycles > result.cycles  # the bandwidth bound bit
@@ -258,8 +258,8 @@ def test_fpga_roofline_charges_memory_stall(tiny_spec, mini_cfg, monkeypatch):
     counters.check_conservation()
 
 
-def test_batch_accumulation_adds_counters(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+def test_batch_accumulation_adds_counters(tiny_spec, mini_cfg, at_level):
+    at_level("counters")
     from repro.core.compare import _accumulate
 
     a = simulate_sparten(tiny_spec, mini_cfg, seed=0)
@@ -275,8 +275,8 @@ def test_batch_accumulation_adds_counters(tiny_spec, mini_cfg, monkeypatch):
     assert _accumulate(a, replace(b, counters=None)).counters is None
 
 
-def test_network_result_counters(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+def test_network_result_counters(tiny_spec, mini_cfg, at_level):
+    at_level("counters")
     from dataclasses import replace
 
     r1 = simulate_sparten(tiny_spec, mini_cfg, seed=0)
@@ -292,7 +292,7 @@ def test_network_result_counters(tiny_spec, mini_cfg, monkeypatch):
     assert partial.counters() is None
 
 
-def test_gb_h_imbalance_no_worse_than_no_gb(monkeypatch):
+def test_gb_h_imbalance_no_worse_than_no_gb(at_level):
     """The acceptance invariant: greedy balancing reclaims idle time.
 
     Pinned on a real (sampled) Table-3 layer: with only a dozen filters
@@ -300,7 +300,7 @@ def test_gb_h_imbalance_no_worse_than_no_gb(monkeypatch):
     invariant is a property of realistic layers -- the same population
     ``benchmarks/check_profile.py`` gates in CI.
     """
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    at_level("counters")
     from repro.eval.experiments import network_by_name
     from repro.sim.config import config_for
 
@@ -382,18 +382,18 @@ def test_geomean_speedup_over_all_excluded_names_layers():
 def test_env_choice(monkeypatch):
     from repro.core.env import env_choice
 
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
+    monkeypatch.delenv("REPRO_FIDELITY", raising=False)
     assert profiling.profile_mode() == profiling.MODE_COUNTERS
-    monkeypatch.setenv("REPRO_PROFILE", "  TIMELINE ")
+    monkeypatch.setenv("REPRO_FIDELITY", "  TIMELINE ")
     assert profiling.profile_mode() == profiling.MODE_TIMELINE
-    monkeypatch.setenv("REPRO_PROFILE", "bogus")
+    monkeypatch.setenv("REPRO_FIDELITY", "bogus")
     # Invalid values warn (via the structured logger) and fall back.
-    assert env_choice("REPRO_PROFILE", "counters", ("off", "counters")) == "counters"
+    assert env_choice("REPRO_FIDELITY", "counters", ("off", "counters")) == "counters"
     assert profiling.profile_mode() == profiling.MODE_COUNTERS
 
 
-def test_profile_counters_reach_telemetry(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+def test_profile_counters_reach_telemetry(tiny_spec, mini_cfg, at_level):
+    at_level("counters")
     telemetry.reset()
     result = simulate_sparten(tiny_spec, mini_cfg)
     counters = telemetry.get_recorder().counters()
@@ -404,8 +404,8 @@ def test_profile_counters_reach_telemetry(tiny_spec, mini_cfg, monkeypatch):
     telemetry.reset()
 
 
-def test_timeline_rows_reach_chrome_trace(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "timeline")
+def test_timeline_rows_reach_chrome_trace(tiny_spec, mini_cfg, at_level):
+    at_level("timeline")
     telemetry.reset()
     profiling.reset_sim_clock()
     simulate_sparten(tiny_spec, mini_cfg)
@@ -441,12 +441,12 @@ def test_emit_event_respects_budget():
     assert rec.snapshot()["dropped_events"] == 1
 
 
-def test_result_memo_separates_profile_modes(tiny_spec, mini_cfg, monkeypatch):
+def test_result_memo_separates_profile_modes(tiny_spec, mini_cfg, at_level):
     from repro.core import workload
 
-    monkeypatch.setenv("REPRO_PROFILE", "off")
+    at_level("cycles")
     key_off = workload.result_key("sparten", tiny_spec, mini_cfg, 0)
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    at_level("counters")
     key_counters = workload.result_key("sparten", tiny_spec, mini_cfg, 0)
     assert key_off != key_counters
 
@@ -455,8 +455,8 @@ def test_result_memo_separates_profile_modes(tiny_spec, mini_cfg, monkeypatch):
 # Attribution payload + CLI.
 
 
-def test_profile_network_payload(monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+def test_profile_network_payload(at_level):
+    at_level("counters")
     telemetry.reset()
     payload = profiling.profile_network(
         "alexnet", schemes=("dense", "sparten_no_gb", "sparten"), layer="Layer2"
@@ -475,18 +475,18 @@ def test_profile_network_payload(monkeypatch):
     telemetry.reset()
 
 
-def test_profile_network_rejects_off_mode(monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "off")
-    with pytest.raises(RuntimeError, match="REPRO_PROFILE"):
+def test_profile_network_rejects_off_mode(at_level):
+    at_level("cycles")
+    with pytest.raises(RuntimeError, match="'cycles'"):
         profiling.profile_network("alexnet", layer="Layer2")
 
 
-def test_cli_profile_subcommand(tmp_path, monkeypatch, capsys):
+def test_cli_profile_subcommand(tmp_path, capsys):
+    import os
+
     from repro.cli import main
 
-    # setenv (not delenv) so the CLI's own escalation of REPRO_PROFILE is
-    # rolled back at teardown.
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    environ = dict(os.environ)  # the CLI scopes its level, never exports it
     out_json = tmp_path / "profile.json"
     trace_json = tmp_path / "trace.json"
     code = main(
@@ -511,7 +511,8 @@ def test_cli_profile_subcommand(tmp_path, monkeypatch, capsys):
 
     payload = json.loads(out_json.read_text())
     assert payload["schema"] == "repro-profile/1"
-    assert payload["mode"] == "timeline"  # --trace escalates the mode
+    assert payload["mode"] == "timeline"  # --trace profiles at timeline
+    assert dict(os.environ) == environ
     trace = json.loads(trace_json.read_text())
     assert any(
         e.get("pid", 0) >= 900_000_000 for e in trace["traceEvents"]

@@ -286,8 +286,8 @@ def _fuse_mode_results(spec, cfg, mode, monkeypatch):
     return out
 
 
-def test_results_identical_across_fuse_modes(deep_spec, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+def test_results_identical_across_fuse_modes(deep_spec, monkeypatch, at_level):
+    at_level("counters")
     cfg = _cfg(chunk_size=64, batch=2)
     baseline = _fuse_mode_results(deep_spec, cfg, "off", monkeypatch)
     for mode in ("on", "auto"):
@@ -303,8 +303,8 @@ def test_results_identical_across_fuse_modes(deep_spec, monkeypatch):
             assert got.counters.barriers == want.counters.barriers
 
 
-def test_conservation_holds_under_fusion(deep_spec, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+def test_conservation_holds_under_fusion(deep_spec, monkeypatch, at_level):
+    at_level("counters")
     monkeypatch.setenv("REPRO_FUSE", "on")
     workload.clear_caches()
     cfg = _cfg(chunk_size=64)
