@@ -5,8 +5,10 @@ manifest.json`` by default) and fails when it reports zero
 ``kernel.native_dispatch`` counts -- that means every match-count call
 silently fell back to the GEMM path, so the benchmark numbers no longer
 measure what CI thinks they measure. On a native-capable runner the
-same goes for ``kernel.reduce_native_dispatch``: zero means every
-scheme reduction fell back to the blocked NumPy path. The check is
+same goes for ``kernel.reduce_native_dispatch`` (zero means every
+scheme reduction fell back to the blocked NumPy path) and for
+``kernel.smooth_native_dispatch`` (zero means workload synthesis
+smoothed every input field with the NumPy fallback). The check is
 skipped when ``REPRO_NO_NATIVE`` is set (the fallback is then
 intentional).
 
@@ -42,6 +44,8 @@ def main(argv: list[str] | None = None) -> int:
     gemm_calls = counters.get("kernel.gemm_dispatch", 0)
     reduce_native = counters.get("kernel.reduce_native_dispatch", 0)
     reduce_fallback = counters.get("kernel.reduce_fallback_dispatch", 0)
+    smooth_native = counters.get("kernel.smooth_native_dispatch", 0)
+    smooth_fallback = counters.get("kernel.smooth_fallback_dispatch", 0)
     if native_calls <= 0:
         print(
             f"check_manifest: FAIL -- manifest {path} reports zero native-kernel "
@@ -59,10 +63,20 @@ def main(argv: list[str] | None = None) -> int:
         )
         _explain_native()
         return 1
+    if native.available() and smooth_native <= 0:
+        print(
+            f"check_manifest: FAIL -- manifest {path} reports zero native "
+            f"smoothing dispatches ({int(smooth_fallback)} NumPy fallbacks) on "
+            "a native-capable runner; workload synthesis bypassed the "
+            "compiled smoothing kernel."
+        )
+        _explain_native()
+        return 1
     print(
         f"check_manifest: OK -- {int(native_calls)} native dispatches "
         f"({int(gemm_calls)} GEMM), {int(reduce_native)} native reductions "
-        f"({int(reduce_fallback)} NumPy) in {path}"
+        f"({int(reduce_fallback)} NumPy), {int(smooth_native)} native smoothings "
+        f"({int(smooth_fallback)} NumPy) in {path}"
     )
     return 0
 

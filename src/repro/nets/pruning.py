@@ -95,14 +95,33 @@ def prune_filters(
 
     Each filter is magnitude-pruned to its own sampled density; the bank's
     aggregate density lands on the target (up to per-filter rounding).
+    Equal to :func:`prune_to_density` on every filter, batched: one
+    ``np.partition`` per filter finds its keep-th largest magnitude, and a
+    single vectorised ``>=`` mask prunes the bank. A filter whose
+    threshold magnitude is tied (the mask would keep extra values) is
+    re-pruned by :func:`prune_to_density` itself.
     """
     filters = np.asarray(filters, dtype=np.float64)
     if filters.ndim < 2:
         raise ValueError(f"expected (F, ...) filter bank, got shape {filters.shape}")
+    n_filters = filters.shape[0]
     densities = per_filter_densities(
-        filters.shape[0], target_density, spread=spread, rng=rng
+        n_filters, target_density, spread=spread, rng=rng
     )
-    pruned = np.empty_like(filters)
-    for f in range(filters.shape[0]):
-        pruned[f] = prune_to_density(filters[f], float(densities[f]))
-    return pruned
+    flat = filters.reshape(n_filters, -1)
+    size = flat.shape[1]
+    keep = np.rint(densities * size).astype(np.int64)
+    pruned = np.abs(flat)
+    # keep == 0 keeps nothing, keep == size keeps everything.
+    thresholds = np.where(keep > 0, -np.inf, np.inf)
+    for f in np.flatnonzero((keep > 0) & (keep < size)):
+        kth = size - keep[f]
+        thresholds[f] = np.partition(pruned[f], kth)[kth]
+    mask = pruned >= thresholds[:, None]
+    np.multiply(flat, mask, out=pruned)
+    # A pruned negative weight is now -0.0; adding +0.0 makes it +0.0
+    # (as prune_to_density writes) and leaves every other value unchanged.
+    pruned += 0.0
+    for f in np.flatnonzero(np.count_nonzero(mask, axis=1) != keep):
+        pruned[f] = prune_to_density(flat[f], float(densities[f]))
+    return pruned.reshape(filters.shape)

@@ -10,19 +10,23 @@ assert both paths agree.
 
 The key identity: the match count between a binary window row and a
 binary filter row is their integer dot product -- equivalently the
-popcount of the AND of the two bit-packed masks. The kernel gathers the
-im2col window-mask matrix *once* per layer (one boolean tensor indexed by
-kernel position), bit-packs both operands with :func:`np.packbits`, and
-then:
+popcount of the AND of the two bit-packed masks. A window chunk is one
+input pixel's chunk of channels, so the kernel bit-packs (and
+popcounts) every padded pixel's channel mask *once* with
+:func:`np.packbits`, rather than once per window that covers it, and
+gathers the packed words at the window origins for each kernel
+position. Then:
 
-- ``input_pop`` / ``filter_chunk_nnz`` come from a byte-popcount lookup
-  table over the packed masks (no float work at all);
+- ``input_pop`` / ``filter_chunk_nnz`` are integer counts of the masks
+  (no float work at all);
 - match counts come from the compiled AND+popcount kernel in
   :mod:`repro.sim.native` when it is available, else from a blocked
-  float32 batched GEMM over the boolean masks;
-- the ``need_counts=False`` branch reduces against the per-chunk filter
-  column sums with one batched matvec, never materialising the
-  ``(n_chunks, n_sel, F)`` tensor.
+  float32 GEMM over the unpacked masks
+  (:func:`repro.sim.reduce.counts_from_packed`);
+- when no counts are materialized (``need_counts=False`` or fused
+  workloads), the per-position totals come from one pixel-level GEMM
+  against the filter column sums of each kernel position, gathered at
+  the window origins -- never the ``(n_chunks, n_sel, F)`` tensor.
 
 Every intermediate on every path is an exact small integer (far below
 2**24, float32's exact-integer range), so all paths are bit-identical to
@@ -56,16 +60,9 @@ __all__ = [
     "count_dtype",
 ]
 
-#: Popcount of each byte value, for bit-packed mask reductions.
-_POPCOUNT = (
-    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    .sum(axis=1)
-    .astype(np.int64)
-)
-
-#: float32 window elements per GEMM block in the fallback path (bounds
-#: the temporary to a few MB regardless of layer size).
-_GEMM_BLOCK_ELEMS = 4 << 20
+#: float64 pixel-mask elements per match-totals GEMM block (bounds the
+#: temporary to 2 MB regardless of layer size).
+_GEMM_BLOCK_ELEMS = 1 << 18
 
 
 def count_dtype(chunk_size: int) -> np.dtype:
@@ -237,6 +234,11 @@ def compute_chunk_work(
     channels padded to whole chunks, so chunk
     ``(ky*k + kx) * cpc + cz`` covers channels ``[cz*n, (cz+1)*n)`` at
     kernel position (ky, kx).
+
+    Every window chunk is one pixel's chunk, so each (spatially padded)
+    pixel's channel mask is packed and popcounted once; the windows'
+    words and counts are then gathered per kernel position at the
+    window origins.
     """
     spec = data.spec
     chunk = cfg.chunk_size
@@ -244,60 +246,75 @@ def compute_chunk_work(
     cpc = padded_c // chunk
     kk = spec.kernel * spec.kernel
     n_chunks = kk * cpc
+    nbytes = (chunk + 7) // 8
+    words = (chunk + 63) // 64
 
     assignment = assign_positions(
         spec.out_positions, cfg.n_clusters, cfg.position_sample
     )
     sel = assignment.indices
-    oy = sel // spec.out_width
-    ox = sel % spec.out_width
-
-    in_mask = data.input_mask
-    if spec.padding:
-        p = spec.padding
-        padded = np.zeros(
-            (spec.in_height + 2 * p, spec.in_width + 2 * p, spec.in_channels),
-            dtype=bool,
-        )
-        padded[p : p + spec.in_height, p : p + spec.in_width] = in_mask
-    else:
-        padded = in_mask
-
-    n_filters = spec.n_filters
     n_sel = sel.size
-    rows = oy * spec.stride
-    cols = ox * spec.stride
+    n_filters = spec.n_filters
+    pad = spec.padding
+    hp = spec.in_height + 2 * pad
+    wp = spec.in_width + 2 * pad
+    # Window origins as flat indices into the padded (hp, wp) pixel grid.
+    origins = (sel // spec.out_width) * (spec.stride * wp) + (
+        sel % spec.out_width
+    ) * spec.stride
 
-    # One im2col gather: every selected window's mask, chunk-padded so
-    # partial channel chunks carry zeros exactly like the storage layout.
-    windows = np.zeros((n_sel, n_chunks, chunk), dtype=bool)
-    wview = windows.reshape(n_sel, kk, padded_c)
+    # Pack every padded pixel's chunk-padded channel mask once: partial
+    # channel chunks carry zeros exactly like the storage layout.
+    pixels = np.zeros((hp, wp, padded_c), dtype=bool)
+    np.not_equal(
+        data.input_map,
+        0,
+        out=pixels[
+            pad : pad + spec.in_height, pad : pad + spec.in_width, : spec.in_channels
+        ],
+    )
+    pixels = pixels.reshape(hp * wp, cpc, chunk)
+    pix_packed = np.packbits(pixels, axis=-1)
+    pix_pop = np.ascontiguousarray(pixels.sum(axis=-1, dtype=np.int32).T)  # (cpc, P)
+    del pixels
+    fmask = np.zeros((n_filters, kk, padded_c), dtype=bool)
+    np.not_equal(
+        data.filters.reshape(n_filters, kk, spec.in_channels),
+        0,
+        out=fmask[:, :, : spec.in_channels],
+    )
+    fmask = fmask.reshape(n_filters, n_chunks, chunk)
+    filt_packed = np.packbits(fmask, axis=-1)
+    filter_chunk_nnz = fmask.sum(axis=-1, dtype=np.int64)
+    del fmask
+    telemetry.count("kernel.positions_simulated", n_sel)
+    telemetry.count("kernel.bytes_packed", (n_sel + n_filters) * n_chunks * nbytes)
+
+    # Gather per kernel position into the native layout: input_pop
+    # (n_chunks, n_sel) and, for two-sided work, window words
+    # (n_chunks, n_sel, words).
+    input_pop = np.empty((n_chunks, n_sel), dtype=np.int32)
+    w64 = None
+    if need_counts:
+        pix_words = np.ascontiguousarray(
+            _as_words(pix_packed, words).transpose(1, 0, 2)
+        )  # (cpc, P, words)
+        w64 = np.empty((n_chunks, n_sel, words), dtype=np.uint64)
     for idx in range(kk):
         ky, kx = divmod(idx, spec.kernel)
-        wview[:, idx, : spec.in_channels] = padded[rows + ky, cols + kx, :]
-    fmask = np.zeros((n_filters, n_chunks, chunk), dtype=bool)
-    fmask.reshape(n_filters, kk, padded_c)[
-        :, :, : spec.in_channels
-    ] = data.filter_masks.reshape(n_filters, kk, spec.in_channels)
-
-    # One-sided quantities from byte popcounts over the packed masks.
-    win_packed = np.packbits(windows, axis=-1)  # (n_sel, n_chunks, ceil(chunk/8))
-    filt_packed = np.packbits(fmask, axis=-1)  # (F, n_chunks, ceil(chunk/8))
-    telemetry.count("kernel.positions_simulated", n_sel)
-    telemetry.count("kernel.bytes_packed", win_packed.nbytes + filt_packed.nbytes)
-    input_pop = np.ascontiguousarray(
-        _POPCOUNT[win_packed].sum(axis=-1, dtype=np.int32).T
-    )
-    filter_chunk_nnz = _POPCOUNT[filt_packed].sum(axis=-1, dtype=np.int64)
+        at = origins + (ky * wp + kx)
+        rows = slice(idx * cpc, (idx + 1) * cpc)
+        np.take(pix_pop, at, axis=1, out=input_pop[rows])
+        if w64 is not None:
+            np.take(pix_words, at, axis=1, out=w64[rows])
 
     counts = None
     packed = None
+    match_sums = None
     if need_counts:
         dtype = count_dtype(chunk)
-        words = (chunk + 63) // 64
-        # (n_chunks, n_sel, words) window words; (n_chunks, words, F)
-        # word-major filter words -- the native kernel's layout contract.
-        w64 = np.ascontiguousarray(_as_words(win_packed, words).transpose(1, 0, 2))
+        # (n_chunks, words, F) word-major filter words -- the native
+        # kernel's layout contract.
         f64 = np.ascontiguousarray(_as_words(filt_packed, words).transpose(1, 2, 0))
         counts_nbytes = n_chunks * n_sel * n_filters * dtype.itemsize
         if reduce.fusion_active(counts_nbytes):
@@ -305,7 +322,6 @@ def compute_chunk_work(
             # masks; the counts tensor is never materialized.
             telemetry.count("kernel.fused_workload")
             packed = PackedMasks(win_words=w64, filt_words=f64, chunk_size=chunk)
-            match_sums = _match_totals_gemm(windows, fmask)
         else:
             got = native.match_counts(w64, f64, n_filters, dtype)
             if got is not None:
@@ -314,10 +330,13 @@ def compute_chunk_work(
                 match_sums = pos_sums.astype(np.float64)
             else:
                 telemetry.count("kernel.gemm_dispatch")
-                counts, match_sums = _match_counts_gemm(windows, fmask, dtype)
+                counts = reduce.counts_from_packed(
+                    PackedMasks(win_words=w64, filt_words=f64, chunk_size=chunk)
+                )
     else:
         telemetry.count("kernel.matvec_dispatch")
-        match_sums = _match_totals_gemm(windows, fmask)
+    if match_sums is None:
+        match_sums = _match_totals(data, origins, hp, wp)
 
     return ChunkWork(
         counts=counts,
@@ -369,44 +388,37 @@ def _as_words(packed: np.ndarray, words: int) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def _match_counts_gemm(
-    windows: np.ndarray, fmask: np.ndarray, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fallback match counts: blocked batched float32 GEMM over the masks.
+def _match_totals(
+    data: LayerData, origins: np.ndarray, hp: int, wp: int
+) -> np.ndarray:
+    """Per-position match totals without the counts tensor.
 
-    Exact because every product/sum is an integer below 2**24.
+    Summing filters first is exact: a position's total is, over kernel
+    positions (ky, kx), the dot of the window pixel's channel mask with
+    that kernel position's filter column sums. One blocked GEMM takes
+    every pixel against all k*k column-sum vectors; the totals then
+    gather those pixel-level dots at the window origins. Every value is
+    an integer far below 2**53 in float64, so the result is exact.
     """
-    n_sel, n_chunks, chunk = windows.shape
-    n_filters = fmask.shape[0]
-    b = fmask.transpose(1, 2, 0).astype(np.float32)  # (n_chunks, chunk, F)
-    counts = np.empty((n_chunks, n_sel, n_filters), dtype=dtype)
-    match_sums = np.zeros(n_sel, dtype=np.float64)
-    block = max(1, _GEMM_BLOCK_ELEMS // max(1, n_chunks * chunk))
-    for lo in range(0, n_sel, block):
-        hi = min(lo + block, n_sel)
-        a = windows[lo:hi].transpose(1, 0, 2).astype(np.float32)
-        blk = np.matmul(a, b).astype(dtype)
-        counts[:, lo:hi] = blk
-        match_sums[lo:hi] = blk.sum(axis=(0, 2), dtype=np.int64)
-    return counts, match_sums
-
-
-def _match_totals_gemm(windows: np.ndarray, fmask: np.ndarray) -> np.ndarray:
-    """Per-position match totals without the counts tensor (one matvec).
-
-    Summing filters first is exact: per-chunk column sums are <= F, and
-    the accumulation runs in float64 (every partial sum is an integer,
-    far below 2**53). The chunk axis is flattened into the dot length so
-    each block is a single large GEMV -- a batched ``(n_chunks, blk,
-    chunk) @ (n_chunks, chunk, 1)`` degenerates into ``n_chunks`` tiny
-    matvecs and runs an order of magnitude slower.
-    """
-    n_sel, n_chunks, chunk = windows.shape
-    colsums = fmask.sum(axis=0, dtype=np.float64).reshape(-1)  # (n_chunks * chunk,)
-    match_sums = np.empty(n_sel, dtype=np.float64)
-    block = max(1, _GEMM_BLOCK_ELEMS // max(1, n_chunks * chunk))
-    flat = windows.reshape(n_sel, n_chunks * chunk)
-    for lo in range(0, n_sel, block):
-        hi = min(lo + block, n_sel)
-        match_sums[lo:hi] = flat[lo:hi].astype(np.float64) @ colsums
+    spec = data.spec
+    kk = spec.kernel * spec.kernel
+    c = spec.in_channels
+    colsums = data.filter_masks.reshape(spec.n_filters, kk, c).sum(
+        axis=0, dtype=np.float64
+    )  # (k*k, C)
+    pix = data.input_mask.reshape(-1, c)
+    dense = np.empty((pix.shape[0], kk), dtype=np.float64)
+    block = max(1, _GEMM_BLOCK_ELEMS // c)
+    for lo in range(0, pix.shape[0], block):
+        dense[lo : lo + block] = pix[lo : lo + block].astype(np.float64) @ colsums.T
+    pad = spec.padding
+    dots = np.zeros((hp, wp, kk), dtype=np.float64)
+    dots[pad : pad + spec.in_height, pad : pad + spec.in_width] = dense.reshape(
+        spec.in_height, spec.in_width, kk
+    )
+    dots = dots.reshape(hp * wp, kk)
+    match_sums = np.zeros(origins.size, dtype=np.float64)
+    for idx in range(kk):
+        ky, kx = divmod(idx, spec.kernel)
+        match_sums += dots[origins + (ky * wp + kx), idx]
     return match_sums

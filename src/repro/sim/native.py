@@ -1,4 +1,5 @@
-"""Optional compiled AND+popcount kernel for chunk match counts.
+"""Optional compiled kernels: AND+popcount match counts, scheme
+reductions and the workload synthesis smoothing pass.
 
 The hot quantity in every simulator is the per-(chunk, position, filter)
 match count -- the popcount of the AND of two bit-packed masks. BLAS can
@@ -9,12 +10,14 @@ faster, using AVX-512 ``VPOPCNTQ`` when the build machine supports it.
 
 The C source below is embedded and compiled on demand with the system C
 compiler into a cache directory (``$REPRO_NATIVE_DIR``, else
-``$XDG_CACHE_HOME/repro/native``), keyed by a hash of the source and
-compiler so rebuilds happen only when either changes. Everything is
-best-effort: no compiler, a failed build, or ``$REPRO_NO_NATIVE`` being
-set all make :func:`match_counts` return ``None`` and the caller falls
-back to the GEMM path. Both paths are bit-identical (exact small-integer
-arithmetic), which the tests assert.
+``$XDG_CACHE_HOME/repro/native``), keyed by a hash of the source,
+compiler and flags so rebuilds happen only when one changes. Everything
+is best-effort: no compiler, a failed build, or ``$REPRO_NO_NATIVE``
+being set all make :func:`match_counts` return ``None`` and the caller
+falls back to the GEMM path. Both paths are bit-identical (exact
+small-integer arithmetic), which the tests assert. The smoothing pass
+(:func:`smooth_wrap_axis`) is float arithmetic; it is bit-identical to
+its NumPy fallback because both round every step in the same order.
 
 Data layout contract (all C-contiguous):
 
@@ -44,6 +47,7 @@ __all__ = [
     "match_counts",
     "reduce_pairs",
     "fused_reduce_pairs",
+    "smooth_wrap_axis",
 ]
 
 _C_SOURCE = r"""
@@ -284,12 +288,51 @@ void match_counts_u8(const uint64_t *win, const uint64_t *filt,
 #else
 DEFINE_SCALAR_KERNEL(uint8_t, u8)
 #endif
+
+/* ---- wrap-mode Gaussian smoothing ---------------------------------------
+   One 1-D pass along the middle axis of a C-contiguous (A, L, B) float64
+   array with periodic boundaries (axes shorter than the kernel wrap more
+   than once). Each output is accumulated in scipy.ndimage.correlate1d's
+   symmetric-kernel order, out = x[0]*w[0], then for k = r..1
+   out += (x[-k] + x[+k]) * w[k], so with FMA contraction off the result
+   is bit-identical to scipy's. w holds the r + 1 half-kernel weights. */
+void smooth_wrap_axis(const double *src, double *dst, const double *w,
+                      int64_t n_outer, int64_t length, int64_t n_inner,
+                      int64_t radius)
+{
+    for (int64_t a = 0; a < n_outer; ++a) {
+        const double *s = src + a * length * n_inner;
+        double *d = dst + a * length * n_inner;
+        for (int64_t i = 0; i < length; ++i) {
+            /* Blocks of the inner axis keep the output row in L1 while
+               the 2r neighbour rows stream past it. */
+            for (int64_t b0 = 0; b0 < n_inner; b0 += 512) {
+                int64_t nb = n_inner - b0 < 512 ? n_inner - b0 : 512;
+                double *out = d + i * n_inner + b0;
+                const double *x0 = s + i * n_inner + b0;
+                for (int64_t b = 0; b < nb; ++b)
+                    out[b] = x0[b] * w[0];
+                for (int64_t k = radius; k >= 1; --k) {
+                    const double *xm =
+                        s + (((i - k) % length + length) % length) * n_inner + b0;
+                    const double *xp = s + ((i + k) % length) * n_inner + b0;
+                    const double wk = w[k];
+                    for (int64_t b = 0; b < nb; ++b)
+                        out[b] += (xm[b] + xp[b]) * wk;
+                }
+            }
+        }
+    }
+}
 """
 
-#: Compiler flag sets, tried in order until one builds.
+#: Compiler flag sets, tried in order until one builds. FMA contraction
+#: stays off: fusing ``out += (xm + xp) * w`` into one rounding would
+#: break the smoothing kernel's bit-identity with the reference filter
+#: (the integer kernels are unaffected).
 _FLAG_SETS = (
-    ["-O3", "-march=native", "-funroll-loops"],
-    ["-O3"],
+    ["-O3", "-march=native", "-funroll-loops", "-ffp-contract=off"],
+    ["-O3", "-ffp-contract=off"],
 )
 
 _lib: ctypes.CDLL | None = None
@@ -315,7 +358,8 @@ def _cache_dir() -> pathlib.Path:
 def _build(cc: str) -> ctypes.CDLL:
     cache = _cache_dir()
     cache.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256((_C_SOURCE + cc).encode()).hexdigest()[:16]
+    key = _C_SOURCE + cc + repr(_FLAG_SETS)
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     lib_path = cache / f"matchkernel-{digest}.so"
     if not lib_path.exists():
         src_path = cache / f"matchkernel-{digest}.c"
@@ -369,6 +413,9 @@ def _load() -> ctypes.CDLL | None:
         fn = lib.fused_reduce_pairs
         fn.restype = None
         fn.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_int64] * 8
+        fn = lib.smooth_wrap_axis
+        fn.restype = None
+        fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
         _lib = lib
     except (OSError, RuntimeError, subprocess.TimeoutExpired, AttributeError) as exc:
         _error = str(exc)
@@ -542,3 +589,34 @@ def fused_reduce_pairs(
         dyn_units,
     )
     return barrier, busy, permute
+
+
+def smooth_wrap_axis(src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> bool:
+    """Wrap-mode 1-D smoothing of (A, L, B) *src* along L into *dst*.
+
+    *weights* are the ``r + 1`` half-kernel weights (centre first). Returns
+    ``False`` (and leaves *dst* untouched) when the kernel is unavailable.
+    """
+    lib = _load()
+    if lib is None:
+        return False
+    n_outer, length, n_inner = src.shape
+    for arr in (src, dst, weights):
+        if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            raise ValueError("smooth_wrap_axis needs C-contiguous float64 arrays")
+    if dst.shape != src.shape or weights.ndim != 1:
+        raise ValueError(
+            f"bad shapes: src {src.shape}, dst {dst.shape}, weights {weights.shape}"
+        )
+    if np.may_share_memory(src, dst):
+        raise ValueError("smooth_wrap_axis cannot smooth in place")
+    lib.smooth_wrap_axis(
+        _ptr(src),
+        _ptr(dst),
+        _ptr(weights),
+        n_outer,
+        length,
+        n_inner,
+        weights.size - 1,
+    )
+    return True

@@ -157,41 +157,40 @@ def _scnn_image_stats(
     n_groups = int(np.ceil(spec.n_filters / group))
 
     # Per-tile, per-channel non-zero input counts (dense variant: cells).
-    in_mask = data.input_mask
-    tile_nnz = np.zeros((n_ty * n_tx, c), dtype=np.int64)
-    tile_cells = np.zeros(n_ty * n_tx, dtype=np.int64)
-    for ty in range(n_ty):
-        for tx in range(n_tx):
-            block = in_mask[
-                ty * tile_h : (ty + 1) * tile_h,
-                tx * tile_w : (tx + 1) * tile_w,
-                :,
-            ]
-            idx = ty * n_tx + tx
-            tile_nnz[idx] = block.sum(axis=(0, 1))
-            tile_cells[idx] = block.shape[0] * block.shape[1]
+    # Tiles are cut row-major at multiples of the tile side; zero-padding
+    # the mask to whole tiles leaves truncated edge tiles' counts exact.
+    h, w = spec.in_height, spec.in_width
+    tiled = np.zeros((n_ty * tile_h, n_tx * tile_w, c), dtype=bool)
+    np.not_equal(data.input_map, 0, out=tiled[:h, :w])
+    tile_nnz = (
+        tiled.reshape(n_ty, tile_h, n_tx, tile_w, c)
+        .sum(axis=(1, 3), dtype=np.int64)
+        .reshape(n_ty * n_tx, c)
+    )
+    del tiled
+    tile_rows = np.minimum(tile_h, h - tile_h * np.arange(n_ty))
+    tile_cols = np.minimum(tile_w, w - tile_w * np.arange(n_tx))
+    tile_cells = np.outer(tile_rows, tile_cols).reshape(-1)
     if variant == "dense":
         tile_counts = np.broadcast_to(tile_cells[:, None], tile_nnz.shape)
     else:
         tile_counts = tile_nnz
 
     # Per-group, per-channel weight counts.
-    filt_mask = data.filter_masks  # (F, k, k, C)
-    w_nnz_per_filter = filt_mask.sum(axis=(1, 2))  # (F, C)
-    w_dense_per_filter = spec.kernel * spec.kernel
-    group_w_nnz = np.zeros((n_groups, c), dtype=np.int64)
-    group_w_all = np.zeros((n_groups, c), dtype=np.int64)
-    for g in range(n_groups):
-        members = range(g * group, min((g + 1) * group, spec.n_filters))
-        group_w_nnz[g] = w_nnz_per_filter[list(members)].sum(axis=0)
-        group_w_all[g] = len(list(members)) * w_dense_per_filter
-    group_weights = group_w_nnz if variant == "two" else group_w_all
+    w_nnz_per_filter = data.filter_masks.sum(axis=(1, 2))  # (F, C)
+    group_starts = np.arange(0, spec.n_filters, group)
+    group_w_nnz = np.add.reduceat(w_nnz_per_filter, group_starts, axis=0)
+    if variant == "two":
+        group_weights = group_w_nnz
+    else:
+        group_sizes = np.diff(group_starts, append=spec.n_filters)
+        group_weights = np.broadcast_to(
+            (group_sizes * (spec.kernel * spec.kernel))[:, None], (n_groups, c)
+        )
 
     # Round-robin tile -> PE assignment; per-PE ceil'd input work.
-    pe_of_tile = np.arange(n_ty * n_tx) % n_pes
     ceil_in = np.ceil(tile_counts / mult_in).astype(np.int64)  # (tiles, C)
-    pe_ceil = np.zeros((n_pes, c), dtype=np.int64)
-    np.add.at(pe_ceil, pe_of_tile, ceil_in)
+    pe_ceil = _round_robin_sum(ceil_in, n_pes)
 
     ceil_w = np.ceil(group_weights / mult_w).astype(np.int64)  # (G, C)
     sum_ceil_w = ceil_w.sum(axis=0)  # (C,)
@@ -235,10 +234,8 @@ def _scnn_image_stats(
     # slowest PE, so its occupied slots, exact products and barrier math
     # all factorise over channels exactly like the global statistics.
     macs_per_pe = mult_in * mult_w
-    in_pe = np.zeros((n_pes, c), dtype=np.float64)
-    np.add.at(in_pe, pe_of_tile, tile_counts.astype(np.float64))
-    in_nz_pe = np.zeros((n_pes, c), dtype=np.float64)
-    np.add.at(in_nz_pe, pe_of_tile, tile_nnz.astype(np.float64))
+    in_pe = _round_robin_sum(tile_counts, n_pes).astype(np.float64)
+    in_nz_pe = _round_robin_sum(tile_nnz, n_pes).astype(np.float64)
     issued_slots = (pe_ceil * sum_ceil_w[None, :]).astype(np.float64)  # (PEs, C)
     issued_pe = issued_slots.sum(axis=1) * macs_per_pe
     products_pe = in_pe @ w_total
@@ -274,3 +271,12 @@ def _scnn_image_stats(
         timeline_busy=timeline_busy,
     )
     return stats
+
+
+def _round_robin_sum(per_tile: np.ndarray, n_pes: int) -> np.ndarray:
+    """Sum (tiles, C) rows onto PEs, tile ``i`` on PE ``i % n_pes``."""
+    n_tiles, c = per_tile.shape
+    rounds = -(-n_tiles // n_pes)
+    dealt = np.zeros((rounds * n_pes, c), dtype=per_tile.dtype)
+    dealt[:n_tiles] = per_tile
+    return dealt.reshape(rounds, n_pes, c).sum(axis=0)
