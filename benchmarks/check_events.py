@@ -8,12 +8,14 @@ Checks, in order:
 
 1. the stream is non-empty and every record is schema-valid
    (:func:`repro.telemetry.events.validate_events`: required keys,
-   schema version, unique ``(pid, seq)``, merged timestamp order,
-   per-pid contiguity),
-2. the stream covers the run lifecycle (a ``run.start`` record exists),
-3. the mirrored counter totals reconcile **exactly** with the
-   manifest's ``counters`` section -- the proof that no event was lost
-   or duplicated across the worker merge,
+   schema version ``repro-events/2``, unique ``(pid, seq)``, per-pid
+   timestamp order, per-pid contiguity),
+2. the stream covers the run lifecycle (``run.start`` and the
+   ``run.end`` record that closes the parent's counter window both
+   exist) and holds no per-increment ``counter``/``gauge`` records,
+3. the counter totals carried by the window-closing records reconcile
+   **exactly** with the manifest's ``counters`` section -- the proof
+   that no event was lost or duplicated across the worker merge,
 4. the manifest's ``events`` section points back at the stream.
 
 ``--allow-gaps`` relaxes the per-pid sequence contiguity check for
@@ -59,8 +61,13 @@ def main(argv: list[str]) -> int:
         f"kinds: {sorted(summary['kinds'])}"
     )
 
-    if not summary["kinds"].get("run.start"):
-        print("FAIL: stream has no run.start record")
+    for kind in ("run.start", "run.end"):
+        if not summary["kinds"].get(kind):
+            print(f"FAIL: stream has no {kind} record")
+            return 1
+    mirrors = sorted(k for k in ("counter", "gauge") if summary["kinds"].get(k))
+    if mirrors:
+        print(f"FAIL: stream holds per-increment {mirrors} records")
         return 1
 
     try:

@@ -669,7 +669,7 @@ def _main_dist(args: argparse.Namespace) -> int:
             report = dist_worker.reconcile(args.store, plan)
             print(_render_reconcile(report))
             exit_code = 0 if report["complete"] and report["exactly_once"] else 1
-    events.emit("run.end", command=args.command)
+    telemetry.close_window("run.end", command=args.command)
     if args.manifest:
         telemetry.write_manifest(
             args.manifest,
@@ -891,7 +891,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         if args.trace:
             telemetry.write_chrome_trace(args.trace)
-        events.emit("run.end", command="report")
+        telemetry.close_window("run.end", command="report")
         if snapshotter is not None:
             snapshotter.stop()
         return 0
@@ -926,7 +926,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     # run.end lands before the manifest is assembled, so the event
     # stream's counter totals and the manifest's counters describe the
     # same window and reconcile exactly (benchmarks/check_events.py).
-    events.emit("run.end", command="run", experiment=args.experiment)
+    telemetry.close_window("run.end", command="run", experiment=args.experiment)
     if args.manifest:
         telemetry.write_manifest(
             args.manifest,

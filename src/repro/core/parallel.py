@@ -51,12 +51,13 @@ Observability rides the same boundary three ways:
   passed to every worker attempt, which adopts it as its trace parent
   -- so the merged Chrome trace nests worker spans under the pool span
   (flow arrows across process lanes) instead of flattening them.
-- **Event stream** (``REPRO_EVENTS``): each worker attempt writes its
-  JSONL events to a private ``.part`` file whose path rides home inside
-  the telemetry snapshot; at pool join the parent merges exactly the
-  kept attempts' parts into the main stream in timestamp order and
-  deletes the rest -- events and counters are kept or discarded
-  together, which is what makes the stream reconcile with the manifest.
+- **Event stream** (``REPRO_EVENTS``): each worker attempt holds its
+  records in memory and closes its counter window with one
+  ``pool.item`` record; the list rides home inside the telemetry
+  snapshot, and merging a kept snapshot appends it to the main stream.
+  A discarded attempt's snapshot is never merged, so events and
+  counters are kept or discarded together by construction -- which is
+  what makes the stream reconcile with the manifest.
 - **Live progress** (``REPRO_PROGRESS``): completed items update an
   in-place TTY line (or heartbeat lines) with items/sec, ETA, cache hit
   rate, retries and worker utilization.
@@ -104,9 +105,6 @@ def _worker_init() -> None:
     global _IN_WORKER
     _IN_WORKER = True
     os.environ["REPRO_JOBS"] = "1"
-    # A worker never appends to the main event stream; its events go to
-    # per-attempt part files the parent merges for kept results only.
-    events.set_worker_mode()
 
 
 def _instrumented_call(
@@ -128,9 +126,8 @@ def _instrumented_call(
     *trace_parent* is the parent process's open span id; adopting it
     re-parents every span this attempt records, so the merged Chrome
     trace nests worker work under the pool span. The attempt's event
-    stream goes to a private part file whose path travels back inside
-    the snapshot (``events_part``) -- flushed and closed before the
-    result returns, so a kept result always names a complete file.
+    records, closed by a ``pool.item`` record carrying its counter
+    increments, travel back inside the snapshot (``stream``).
 
     *fidelity* is the parent's fidelity level, scoped around *fn*.
     """
@@ -138,16 +135,13 @@ def _instrumented_call(
 
     telemetry.reset()
     telemetry.set_trace_parent(trace_parent)
-    events.begin_attempt(token, attempt)
-    try:
-        faults.fault_point(token, attempt)
-        with fidelity_scope(fidelity):
-            result = fn(item)
-    except BaseException:
-        events.end_attempt()  # the orphaned part file dies at pool join
-        raise
+    stream = events.capture()
+    faults.fault_point(token, attempt)
+    with fidelity_scope(fidelity):
+        result = fn(item)
+    telemetry.close_window("pool.item", item=token, attempt=attempt)
     snap = telemetry.snapshot()
-    snap["events_part"] = events.end_attempt()
+    snap["stream"] = stream
     return result, snap
 
 
@@ -177,7 +171,6 @@ def parallel_map(
     broken = False
     abandoned = False  # a timed-out item left a possibly-hung worker behind
     pool_size = min(n, len(items))
-    kept_parts: list[str] = []  # event part files of kept worker attempts
     shard = os.environ.get("REPRO_SHARD")
     progress = ProgressRenderer(
         total=len(items), label=f"pool[{shard}]" if shard else "pool"
@@ -283,9 +276,6 @@ def parallel_map(
                             )
                             _progress_tick()
                     else:
-                        part = snap.pop("events_part", None)
-                        if part:
-                            kept_parts.append(part)
                         telemetry.merge(snap)
                         results[idx] = result
                         _progress_tick()
@@ -293,9 +283,6 @@ def parallel_map(
                     break
         finally:
             pool.shutdown(wait=not abandoned, cancel_futures=True)
-        # Pool join: fold the kept attempts' event files into the main
-        # stream (timestamp order) and discard the rest.
-        events.merge_parts(kept_parts)
     if broken:
         missing = [i for i, r in enumerate(results) if r is _PENDING]
         telemetry.count("pool_fallback")

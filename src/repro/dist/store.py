@@ -22,7 +22,8 @@ publish. This module adds the missing coordination with **claim files**:
   or the claim goes stale and is stolen.
 - :func:`reap_orphans` deletes debris no live writer can still own:
   ``.tmp`` files from interrupted atomic publishes, ``.part`` event
-  side files and ``.claim`` leases older than an age threshold.
+  side files (written by older versions) and ``.claim`` leases older
+  than an age threshold.
 
 Correctness never depends on claims: publish stays atomic and
 content-addressed, so the worst outcome of every race here is duplicated
@@ -242,9 +243,10 @@ def reap_orphans(
     """Delete crash debris under *directory* older than *age* seconds.
 
     Removes ``.tmp`` files (interrupted atomic publishes), ``.part``
-    event side files (a worker killed mid-attempt) and ``.claim`` leases
-    (dead owners) whose mtime is at least *age* seconds old -- default
-    ``REPRO_CLAIM_TTL``, so a live writer's files are never touched.
+    event side files (an older version's worker killed mid-attempt) and
+    ``.claim`` leases (dead owners) whose mtime is at least *age*
+    seconds old -- default ``REPRO_CLAIM_TTL``, so a live writer's files
+    are never touched.
     Returns the deleted paths (counted as ``store.reap``).
     """
     age = claim_ttl() if age is None else age

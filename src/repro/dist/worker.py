@@ -194,8 +194,10 @@ def execute_unit(
             claim.release()
     telemetry.count(f"dist.unit.{status}")
     # The wall duration rides on the event so fleet aggregation can
-    # reconstruct per-worker trace lanes and flag stragglers.
-    events.emit(
+    # reconstruct per-worker trace lanes and flag stragglers; the
+    # counters it closes keep a killed worker's stream reconciled up to
+    # its last finished unit.
+    telemetry.close_window(
         "dist.unit", unit=unit.token, status=status, stolen=stolen,
         seconds=round(time.monotonic() - started, 6),
     )

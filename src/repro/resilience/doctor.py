@@ -3,14 +3,13 @@
 The workload cache (``$REPRO_CACHE_DIR``) and checkpoint journals
 survive crashes by design -- which means they also accumulate the debris
 of crashes: truncated ``.npz`` archives, orphaned ``.tmp`` files from
-interrupted atomic writes, ``.part`` event side files and ``.claim``
-single-flight leases whose writers were killed, and ``.corrupt``
-quarantine markers left by earlier runs. The doctor walks a directory,
-verifies every entry the
-same way the runtime loaders do (every array member is actually
-decompressed, not just the zip directory), quarantines entries that fail
-verification, and -- with ``--prune`` -- deletes quarantined and orphaned
-files.
+interrupted atomic writes, ``.part`` event side files (written by older
+versions) and ``.claim`` single-flight leases whose writers were killed,
+and ``.corrupt`` quarantine markers left by earlier runs. The doctor
+walks a directory, verifies every entry the same way the runtime
+loaders do (every array member is actually decompressed, not just the
+zip directory), quarantines entries that fail verification, and -- with
+``--prune`` -- deletes quarantined and orphaned files.
 
 Verification is read-only apart from quarantine renames; pruning never
 touches healthy entries, so ``repro doctor --prune`` is always safe to

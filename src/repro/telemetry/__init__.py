@@ -16,9 +16,10 @@ One dependency-free layer every expensive path reports into:
   structured logger library code uses instead of ``print()``
   (``REPRO_LOG_FORMAT=json`` for machine-readable stderr).
 - :mod:`repro.telemetry.events` -- the schema-versioned JSONL event
-  stream (``REPRO_EVENTS=path``): every counter increment, cache
-  decision, retry, fault and lifecycle transition as one appended line,
-  merged across workers at pool join.
+  stream (``REPRO_EVENTS=path``): cache decisions, retries, faults and
+  lifecycle transitions as appended lines; counter increments ride on
+  the record that closes their window (:func:`close_window`), and pool
+  workers' records ride home in their telemetry snapshots.
 - :mod:`repro.telemetry.metrics` -- Prometheus text-exposition rendering
   of the counters/gauges/spans (``repro stats --prometheus``) and the
   ``REPRO_METRICS`` periodic snapshotter.
@@ -57,6 +58,7 @@ from repro.telemetry.progress import ProgressRenderer
 from repro.telemetry.recorder import (
     SNAPSHOT_SCHEMA,
     Recorder,
+    close_window,
     count,
     current_span_id,
     gauge,
@@ -78,6 +80,7 @@ __all__ = [
     "snapshot",
     "merge",
     "reset",
+    "close_window",
     "get_recorder",
     "current_span_id",
     "set_trace_parent",

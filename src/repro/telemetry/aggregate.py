@@ -5,8 +5,9 @@ metrics snapshot and one manifest per worker in the shared store. This
 module merges those per-worker views back into one fleet-wide picture:
 
 - :func:`merge_event_streams` concatenates every readable JSONL stream
-  and sorts the records into the same global ``(ts, pid, seq)`` order
-  that :func:`repro.telemetry.events.merge_parts` gives a single run.
+  and sorts the records into one global ``(ts, pid, seq)`` order (a
+  single run's stream is ordered per pid only: pool workers' records
+  land at pool join).
   A SIGKILL'd worker can leave a torn final line (killed mid-``write``);
   post-mortem tooling must not choke on the very evidence it exists to
   examine, so unparseable lines are counted, not raised.
@@ -46,8 +47,8 @@ __all__ = [
 ]
 
 #: Record kinds excluded from human-facing timelines and trace lanes
-#: (high-volume mirrors; their *totals* are reported instead).
-HIGH_VOLUME_KINDS = ("counter", "gauge", "progress")
+#: (high-volume heartbeats).
+HIGH_VOLUME_KINDS = ("progress",)
 
 #: Robust z-score above which a computed unit is called a straggler.
 STRAGGLER_ZSCORE = 3.5
@@ -170,7 +171,8 @@ def find_stragglers(
 
 
 def _detail_fields(record: dict) -> str:
-    skip = set(_events.REQUIRED_KEYS) | {"shard"}
+    # A closing record's counters are reported as totals, not per line.
+    skip = set(_events.REQUIRED_KEYS) | {"shard", "counters"}
     parts = []
     for key in sorted(record):
         if key in skip:
@@ -179,22 +181,16 @@ def _detail_fields(record: dict) -> str:
     return " ".join(parts)
 
 
-def fleet_timeline(
-    records: list[dict],
-    skip_kinds: tuple[str, ...] = HIGH_VOLUME_KINDS,
-    limit: int | None = None,
-) -> list[str]:
+def fleet_timeline(records: list[dict], limit: int | None = None) -> list[str]:
     """Render the merged stream as wall-clock ordered timeline lines.
 
-    Counter/gauge mirrors and progress heartbeats are skipped by
-    default -- they dominate the record count but their totals are
-    reported separately. *limit* keeps the **tail** (the interesting
-    end of a post-mortem) when the timeline is longer.
+    Progress heartbeats are skipped. *limit* keeps the **tail** (the
+    interesting end of a post-mortem) when the timeline is longer.
     """
     lines: list[str] = []
     for record in records:
         kind = record.get("kind", "?")
-        if kind in skip_kinds:
+        if kind in HIGH_VOLUME_KINDS:
             continue
         stamp = time.strftime(
             "%H:%M:%S", time.localtime(float(record.get("ts", 0.0)))
@@ -217,8 +213,8 @@ def merged_chrome_trace(records: list[dict]) -> dict:
 
     ``dist.unit`` records (which carry the unit's wall duration) become
     complete ``"X"`` slices ending at their record timestamp; other
-    lifecycle events become instant ``"i"`` marks. Counter mirrors are
-    folded into ``otherData.counter_totals`` rather than drawn.
+    lifecycle events become instant ``"i"`` marks. The closing records'
+    counters are summed into ``otherData.counter_totals``.
     """
     trace: list[dict] = []
     labelled: set[int] = set()

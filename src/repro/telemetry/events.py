@@ -9,26 +9,22 @@ a wall-clock timestamp, the emitting pid and a per-process sequence
 number, so merged streams can be validated for lost or duplicated
 events.
 
-Two record families:
-
-- **counter mirrors** (``kind == "counter"``): every increment that goes
-  through :func:`repro.telemetry.count` is also appended to the stream,
-  which is what makes the stream reconcile *exactly* with the manifest's
-  counter dump -- both see the same increments, kept or discarded
-  together (see below).
-- **lifecycle events** (``run.start``, ``pipeline.layer``,
-  ``sweep.point``, ``resilience.retry``, ``doctor.quarantine``,
-  ``progress`` ...): structured markers with their own attributes.
+Counters are not written line by line. A **window-closing record**
+(``run.end``, ``dist.unit``, ``pool.item``; see
+:func:`repro.telemetry.close_window`) carries, as its ``counters``
+field, every increment its process made since the previous closing
+record. :func:`counter_totals` sums those fields, which is what makes a
+stream reconcile *exactly* with the manifest's counter dump.
 
 Cross-process behaviour mirrors the telemetry snapshots: a pool worker
-never appends to the main file. Each item *attempt* writes to its own
-``<path>.<pid>-<token>-a<n>.part`` side file whose path rides back to
-the parent inside the telemetry snapshot; the parent merges exactly the
-part files of the attempts whose results it kept (discarded attempts --
-retried failures, abandoned timeouts -- are deleted unread, just as
-their counter snapshots are discarded). :func:`merge_parts` rewrites
-the main file in ``(ts, pid, seq)`` order, so the merged stream is
-globally timestamp-sorted at every pool join.
+never appends to the main file. Each item attempt holds its records in
+memory (:func:`capture`); the list rides back to the parent inside the
+telemetry snapshot, next to the counters it closes, and the parent adds
+it to the main stream (:func:`append`) only when it keeps the attempt.
+A discarded attempt (retried failure, abandoned timeout) loses its
+records with its snapshot. The main file is append-only and ordered per
+pid, not globally by timestamp; readers that want one global order use
+:func:`repro.telemetry.aggregate.merge_event_streams`.
 
 Everything here is inert unless ``REPRO_EVENTS`` is set: the fast path
 of :func:`emit` is a single environment lookup.
@@ -36,11 +32,9 @@ of :func:`emit` is a single environment lookup.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import pathlib
-import tempfile
 import threading
 import time
 from typing import Any
@@ -53,27 +47,24 @@ __all__ = [
     "current_seq",
     "start_run",
     "describe",
+    "capture",
+    "append",
     "read_events",
     "validate_events",
     "counter_totals",
-    "merge_parts",
-    "begin_attempt",
-    "end_attempt",
-    "set_worker_mode",
 ]
 
 #: Event-stream schema version (bumped on incompatible record changes).
-EVENTS_SCHEMA = "repro-events/1"
+EVENTS_SCHEMA = "repro-events/2"
 
 #: Record keys every event must carry (validated by :func:`validate_events`).
 REQUIRED_KEYS = ("schema", "ts", "pid", "seq", "kind")
 
 _lock = threading.RLock()
-_seq = 0  # per-process, monotone across sink switches (dedup identity)
+_seq = 0  # per-process, monotone across attempts (dedup identity)
 _sink_path: str | None = None  # path the open handle points at
 _sink_file = None
-_part_override: str | None = None  # worker-attempt side file, beats the env
-_worker_mode = False  # in a pool worker: never touch the main file
+_captured: list[dict] | None = None  # pool worker: records held for the parent
 _emitted_main = 0  # records in the main file owed to this process (incl. merges)
 
 
@@ -84,30 +75,8 @@ def events_path() -> str | None:
 
 
 def enabled() -> bool:
-    """Whether any sink (main file or worker part file) is active."""
-    return _resolve_path() is not None
-
-
-def _resolve_path() -> str | None:
-    if _part_override is not None:
-        return _part_override
-    if _worker_mode:
-        # A pool worker outside an item attempt has no sink: the main
-        # file belongs to the parent process alone.
-        return None
-    return events_path()
-
-
-def set_worker_mode() -> None:
-    """Mark this process as a pool worker (called by the pool initializer).
-
-    Workers only ever write through the per-attempt part files that
-    :func:`begin_attempt` opens; between attempts the stream is off.
-    """
-    global _worker_mode
-    with _lock:
-        _worker_mode = True
-        _close_locked()
+    """Whether the event stream is on."""
+    return events_path() is not None
 
 
 def _close_locked() -> None:
@@ -121,14 +90,25 @@ def _close_locked() -> None:
     _sink_path = None
 
 
-def _ensure_open_locked(path: str):
-    global _sink_file, _sink_path
-    if _sink_file is None or _sink_path != path:
-        _close_locked()
-        pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
-        _sink_file = open(path, "a", encoding="utf-8")
-        _sink_path = path
-    return _sink_file
+def _write_locked(path: str, records: list[dict]) -> bool:
+    """Append *records* to *path*, or hold them while capturing."""
+    global _sink_file, _sink_path, _emitted_main
+    if _captured is not None:
+        _captured.extend(records)
+        return True
+    try:
+        if _sink_file is None or _sink_path != path:
+            _close_locked()
+            pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
+            _sink_file = open(path, "a", encoding="utf-8")
+            _sink_path = path
+        for record in records:
+            _sink_file.write(json.dumps(record, sort_keys=True) + "\n")
+        _sink_file.flush()  # line-granular durability: a crash loses nothing
+    except OSError:
+        return False  # the stream is best-effort, never costs a run
+    _emitted_main += len(records)
+    return True
 
 
 def _jsonable(value: Any):
@@ -144,12 +124,12 @@ def _jsonable(value: Any):
 def emit(kind: str, name: str | None = None, value: float | None = None, **fields) -> bool:
     """Append one event record; returns whether anything was written.
 
-    A no-op (one env lookup) when no sink is active. *fields* are
+    A no-op (one env lookup) when the stream is off. *fields* are
     coerced to JSON-safe values, so span attributes and paths can be
     passed directly.
     """
-    global _seq, _emitted_main
-    path = _resolve_path()
+    global _seq
+    path = events_path()
     if path is None:
         return False
     with _lock:
@@ -173,21 +153,13 @@ def emit(kind: str, name: str | None = None, value: float | None = None, **field
             # Shard identity rides on every record so per-shard slices
             # of a merged multi-worker stream reconcile to sweep totals.
             record["shard"] = shard
-        try:
-            fh = _ensure_open_locked(path)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()  # line-granular durability: a crash loses nothing
-        except OSError:
-            return False  # the stream is best-effort, never costs a run
-        if _part_override is None:
-            _emitted_main += 1
-        return True
+        return _write_locked(path, [record])
 
 
 def current_seq() -> int:
     """This process's next event sequence number.
 
-    Monotone across sink switches, so a health heartbeat recording it
+    Monotone across attempts, so a health heartbeat recording it
     tells a post-mortem reader how far the worker's stream had advanced
     when the heartbeat was written.
     """
@@ -195,23 +167,12 @@ def current_seq() -> int:
         return _seq
 
 
-def mirror_counter(name: str, value: float) -> None:
-    """Counter-increment mirror hook (called by ``telemetry.count``)."""
-    emit("counter", name=name, value=value)
-
-
-def mirror_gauge(name: str, value: float) -> None:
-    """Gauge-observation mirror hook (called by ``telemetry.gauge``)."""
-    emit("gauge", name=name, value=value)
-
-
 def start_run(**fields) -> None:
     """Open a fresh stream window: truncate the main file, mark the start.
 
     Called next to ``telemetry.reset()`` so the stream covers exactly
     the same measurement window as the manifest's counters -- that
-    alignment is what makes the reconciliation check exact. Stale
-    ``.part`` files from an earlier abandoned run are swept too.
+    alignment is what makes the reconciliation check exact.
     """
     global _emitted_main
     path = events_path()
@@ -222,11 +183,6 @@ def start_run(**fields) -> None:
         pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
         open(path, "w", encoding="utf-8").close()
         _emitted_main = 0
-        for stale in glob.glob(glob.escape(path) + ".*.part"):
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
     emit("run.start", **fields)
 
 
@@ -239,95 +195,34 @@ def describe() -> dict | None:
         return {"path": path, "schema": EVENTS_SCHEMA, "emitted": _emitted_main}
 
 
-# -- worker-attempt part files ----------------------------------------------
+# -- pool workers -------------------------------------------------------------
 
 
-def begin_attempt(token: str, attempt: int) -> None:
-    """Route this process's events to a fresh per-attempt part file.
+def capture() -> list[dict]:
+    """Hold this process's records in a fresh list instead of the file.
 
-    Called by the pool worker wrapper before running an item; the part
-    file's fate is tied to the attempt's: kept attempts are merged by
-    the parent, failed ones deleted unread.
+    A pool worker calls this at the start of every item attempt and
+    returns the list inside the attempt's telemetry snapshot; from the
+    first call on, the worker never touches the main file.
     """
-    global _part_override
-    base = events_path()
+    global _captured
     with _lock:
         _close_locked()
-        if base is None:
-            _part_override = None
-            return
-        _part_override = f"{base}.{os.getpid()}-{token}-a{int(attempt)}.part"
-        # Truncate: a re-run attempt number (pool resubmission after a
-        # pid reuse) must not append to a stale file.
-        try:
-            pathlib.Path(_part_override).parent.mkdir(parents=True, exist_ok=True)
-            open(_part_override, "w", encoding="utf-8").close()
-        except OSError:
-            _part_override = None
+        _captured = []
+        return _captured
 
 
-def end_attempt() -> str | None:
-    """Close the per-attempt part file; returns its path (None if off).
+def append(records: list[dict]) -> None:
+    """Add another process's records to this process's stream unchanged.
 
-    The returned path travels back to the parent inside the telemetry
-    snapshot, flushed and closed before the result is returned, so a
-    kept result always names a complete part file.
+    The parent calls this (through ``telemetry.merge``) for every kept
+    worker snapshot; the records keep the worker's own ``pid``/``seq``.
     """
-    global _part_override
-    with _lock:
-        path = _part_override
-        _close_locked()
-        _part_override = None
-    return path
-
-
-def merge_parts(kept_parts: list[str]) -> int:
-    """Fold kept worker part files into the main stream at pool join.
-
-    Reads the main file plus every readable *kept* part, sorts all
-    records by ``(ts, pid, seq)`` and atomically rewrites the main
-    file; then deletes **every** ``<path>.*.part`` side file (kept and
-    discarded alike). Returns the number of merged worker records.
-    """
-    global _emitted_main
     path = events_path()
-    if path is None:
-        return 0
-    merged = 0
+    if path is None or not records:
+        return
     with _lock:
-        _close_locked()
-        records: list[dict] = []
-        try:
-            records.extend(read_events(path))
-        except OSError:
-            pass
-        for part in kept_parts:
-            if not part:
-                continue
-            try:
-                part_records = read_events(part)
-            except OSError:
-                continue
-            merged += len(part_records)
-            records.extend(part_records)
-        records.sort(key=lambda r: (r.get("ts", 0.0), r.get("pid", 0), r.get("seq", 0)))
-        try:
-            base = pathlib.Path(path)
-            base.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=base.parent, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-            _emitted_main += merged
-        except OSError:
-            return 0
-        for stale in glob.glob(glob.escape(path) + ".*.part"):
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
-    return merged
+        _write_locked(path, records)
 
 
 # -- reading / validation ---------------------------------------------------
@@ -365,11 +260,13 @@ def validate_events(records: list[dict], allow_gaps: bool = False) -> dict:
     own emission order. Ordering is deliberately *not* enforced across
     pids: workers on different hosts (or across an NTP step) have
     skewed wall clocks, so equal or backward timestamps between
-    processes are normal -- :func:`merge_parts` already gives the
-    merged stream a stable ``(ts, pid, seq)`` order for readers.
+    processes are normal, and worker records land in the main file at
+    pool join rather than in timestamp order --
+    :func:`repro.telemetry.aggregate.merge_event_streams` gives readers
+    one stable ``(ts, pid, seq)`` order.
     *allow_gaps* relaxes the per-pid contiguity check for runs with
     injected faults, where discarded attempts legitimately consume
-    sequence numbers whose part files are deleted unread.
+    sequence numbers whose records are never merged.
     Returns a summary ``{"records": n, "pids": [...], "kinds": {...}}``.
     """
     seen: set[tuple[int, int]] = set()
@@ -408,16 +305,15 @@ def validate_events(records: list[dict], allow_gaps: bool = False) -> dict:
 
 
 def counter_totals(records: list[dict]) -> dict[str, float]:
-    """Sum the mirrored counter increments: ``{counter name: total}``.
+    """Sum the closing records' ``counters`` fields: ``{name: total}``.
 
     This is the stream-side of the reconciliation invariant: for a run
-    whose stream window matches its telemetry window, these totals
-    equal the manifest's ``counters`` section exactly.
+    whose stream window matches its telemetry window and ends in
+    ``run.end``, these totals equal the manifest's ``counters`` section
+    exactly.
     """
     totals: dict[str, float] = {}
     for record in records:
-        if record.get("kind") == "counter" and "name" in record:
-            totals[record["name"]] = totals.get(record["name"], 0.0) + float(
-                record.get("value", 1.0)
-            )
+        for name, value in (record.get("counters") or {}).items():
+            totals[name] = totals.get(name, 0.0) + float(value)
     return totals

@@ -15,12 +15,17 @@ through one :class:`Recorder`:
   site re-stating it.
 - **Counters** (:meth:`Recorder.count`) are monotonically accumulating
   floats -- cache hits, kernel dispatches, bytes packed. **Gauges**
-  (:meth:`Recorder.gauge`) are last-write-wins observations.
+  (:meth:`Recorder.gauge`) are last-write-wins observations. The
+  recorder also keeps this process's increments since the last
+  window-closing event record (:meth:`Recorder.take_window`,
+  :func:`close_window`), which is how counters reach the event stream.
 - **Snapshots** (:meth:`Recorder.snapshot`) are plain JSON-able dicts, so
   a worker process can ship its whole telemetry state back to the parent
   which merges it (:meth:`Recorder.merge`): span seconds and counters
   add, gauges update, events concatenate. That is what makes timing and
-  cache statistics survive ``REPRO_JOBS>1`` fan-out.
+  cache statistics survive ``REPRO_JOBS>1`` fan-out. A pool worker's
+  snapshot also carries its event-stream records (``stream``), which
+  :func:`merge` appends to the parent's stream.
 
 The module-level functions (:func:`span`, :func:`count`, ...) operate on
 one process-global default recorder, which is what the library
@@ -50,6 +55,7 @@ __all__ = [
     "snapshot",
     "merge",
     "reset",
+    "close_window",
     "current_span_id",
     "set_trace_parent",
 ]
@@ -79,6 +85,7 @@ class Recorder:
         self._wall: dict[str, float] = defaultdict(float)
         self._calls: dict[str, int] = defaultdict(int)
         self._counters: dict[str, float] = defaultdict(float)
+        self._window: dict[str, float] = defaultdict(float)
         self._gauges: dict[str, float] = {}
         self._events: list[dict] = []
         self._dropped_events = 0
@@ -216,6 +223,18 @@ class Recorder:
         """Add *value* to the accumulating counter *name*."""
         with self._lock:
             self._counters[name] += value
+            self._window[name] += value
+
+    def take_window(self) -> dict[str, float]:
+        """This process's increments since the last call; starts a new window.
+
+        Merged snapshots never add here: their increments travel on the
+        merged process's own window-closing records.
+        """
+        with self._lock:
+            window = dict(sorted(self._window.items()))
+            self._window.clear()
+            return window
 
     def gauge(self, name: str, value: float) -> None:
         """Record the last-observed value of *name*."""
@@ -307,19 +326,25 @@ def span(name: str, **attrs: Any):
 def count(name: str, value: float = 1.0) -> None:
     """Add *value* to a counter on the default recorder.
 
-    Increments through this function (all library instrumentation) are
-    also mirrored into the JSONL event stream when ``REPRO_EVENTS`` is
-    active -- that one-to-one mirroring is what lets a merged stream
-    reconcile exactly with the manifest's counter dump.
+    Writes nothing to the event stream: the increment reaches it on the
+    next window-closing record (:func:`close_window`), which is what
+    lets a stream reconcile exactly with the manifest's counter dump.
     """
     _RECORDER.count(name, value)
-    _events.mirror_counter(name, value)
 
 
 def gauge(name: str, value: float) -> None:
-    """Record a gauge observation on the default recorder (mirrored)."""
+    """Record a gauge observation on the default recorder."""
     _RECORDER.gauge(name, value)
-    _events.mirror_gauge(name, value)
+
+
+def close_window(kind: str, **fields) -> bool:
+    """Emit a *kind* record that closes this process's counter window.
+
+    Its ``counters`` field holds this process's increments since the
+    previous closing record; ``events.counter_totals`` sums them.
+    """
+    return _events.emit(kind, counters=_RECORDER.take_window(), **fields)
 
 
 def current_span_id() -> str | None:
@@ -338,8 +363,14 @@ def snapshot(events: bool = True) -> dict:
 
 
 def merge(snap: dict) -> None:
-    """Merge a (worker) snapshot into the default recorder."""
+    """Merge a (worker) snapshot into the default recorder.
+
+    The snapshot's event records (``stream``) are appended to this
+    process's event stream, so a kept attempt's records and counters
+    land together and a discarded one's never do.
+    """
     _RECORDER.merge(snap)
+    _events.append(snap.get("stream", []))
 
 
 def reset() -> None:

@@ -4,9 +4,11 @@ log format, bench regression tracking.
 The pool tests use spawn workers, so their work functions live at module
 level (picklable) and the event stream is routed to tmp paths through
 ``REPRO_EVENTS``. The reconciliation tests assert the tentpole
-invariant: the merged stream's counter totals equal the manifest's
-counter dump *exactly*, including under retries, because events and
-counter snapshots are kept or discarded together per attempt.
+invariant: once the parent closes its window (``run.end``), the
+stream's counter totals -- summed over the window-closing records --
+equal the manifest's counter dump *exactly*, including under retries,
+because a worker attempt's records and counters ride home in one
+snapshot and are kept or discarded together.
 """
 
 import io
@@ -19,6 +21,7 @@ import pytest
 from repro import cli, telemetry
 from repro.core import parallel
 from repro.eval import benchtrack
+from repro.resilience import faults
 from repro.telemetry import events
 from repro.telemetry.metrics import (
     MetricsSnapshotter,
@@ -68,6 +71,28 @@ def _fail_first_attempt(arg):
     return x
 
 
+def _marker_and_listing(arg):
+    """Emits one marker and reports which files the stream dir holds."""
+    directory, x = arg
+    events.emit("test.marker", item=x)
+    return sorted(os.listdir(directory))
+
+
+def _one_crash_seed(n_items, rate):
+    """A fault seed that crashes exactly one item's first attempt only."""
+    for seed in range(1000):
+        plan = faults.FaultPlan(rates={"worker_crash": rate}, seed=seed)
+        fired = [
+            i for i in range(n_items)
+            if plan.should_fire("worker_crash", f"item{i}", 0)
+        ]
+        if len(fired) == 1 and not plan.should_fire(
+            "worker_crash", f"item{fired[0]}", 1
+        ):
+            return seed, fired[0]
+    raise AssertionError("no single-crash seed found")
+
+
 class TestStream:
     def test_disabled_is_inert(self, tmp_path):
         assert not events.enabled()
@@ -87,27 +112,53 @@ class TestStream:
         assert layer["density"] == 0.5
         assert {"ts", "pid", "seq"} <= set(layer)
 
-    def test_start_run_truncates_and_sweeps_parts(self, tmp_path, monkeypatch):
+    def test_start_run_truncates(self, tmp_path, monkeypatch):
         path = tmp_path / "ev.jsonl"
         monkeypatch.setenv("REPRO_EVENTS", str(path))
-        stale = tmp_path / "ev.jsonl.999-item0-a0.part"
-        stale.write_text("{}\n")
         events.start_run()
         events.emit("x")
         events.start_run()
         records = events.read_events(path)
         assert [r["kind"] for r in records] == ["run.start"]
-        assert not stale.exists()
 
-    def test_counter_mirroring_reconciles_with_recorder(self, event_log):
+    def test_counters_reconcile_after_closing_record(self, event_log):
         telemetry.count("test.hits")
         telemetry.count("test.hits", 2)
         telemetry.count("test.other", 5)
+        telemetry.close_window("run.end")
         totals = events.counter_totals(events.read_events(event_log))
         assert totals == telemetry.get_recorder().counters()
 
+    def test_counts_write_no_lines_and_windows_partition(self, event_log):
+        before = event_log.read_text()
+        for _ in range(5):
+            telemetry.count("test.hits")
+        telemetry.gauge("test.level", 0.5)
+        assert event_log.read_text() == before
+        telemetry.close_window("test.close")
+        telemetry.count("test.hits", 2)
+        telemetry.count("test.other", 3)
+        telemetry.close_window("run.end")
+        closing = [r for r in events.read_events(event_log) if "counters" in r]
+        assert [r["kind"] for r in closing] == ["test.close", "run.end"]
+        assert [r["counters"] for r in closing] == [
+            {"test.hits": 5.0},
+            {"test.hits": 2.0, "test.other": 3.0},
+        ]
+
+    def test_reset_clears_and_merge_skips_the_window(self):
+        rec = telemetry.Recorder()
+        rec.count("a")
+        rec.reset()
+        rec.count("b")
+        rec.merge({"counters": {"c": 4.0}})
+        assert rec.take_window() == {"b": 1.0}
+        assert rec.take_window() == {}
+        assert rec.counters() == {"b": 1.0, "c": 4.0}
+
     def test_describe_feeds_the_manifest(self, event_log):
         telemetry.count("test.hits")
+        telemetry.close_window("run.end")
         manifest = telemetry.build_manifest()
         assert manifest["schema"] == "repro-manifest/2"
         assert manifest["events"]["path"] == str(event_log)
@@ -177,18 +228,15 @@ class TestValidation:
 
 
 class TestPoolMerge:
-    def test_two_worker_pool_merges_sorted_without_loss(
-        self, event_log, tmp_path
-    ):
+    def test_two_worker_pool_merges_without_loss(self, event_log, tmp_path):
         results = parallel.parallel_map(_count_and_square, [1, 2, 3, 4], jobs=2)
         assert results == [1, 4, 9, 16]
+        telemetry.close_window("run.end")
         records = events.read_events(event_log)
-        summary = events.validate_events(records)  # strict: no gaps allowed
+        # Strict: no gaps, no duplicates, each pid's (ts, seq) in order.
+        summary = events.validate_events(records)
         assert len(summary["pids"]) >= 2  # parent + at least one worker
-        ts = [r["ts"] for r in records]
-        assert ts == sorted(ts)
-        # No part files survive the pool join.
-        assert not list(tmp_path.glob("*.part"))
+        assert [p.name for p in tmp_path.iterdir()] == [event_log.name]
         # The stream reconciles exactly with the manifest counters.
         manifest = telemetry.build_manifest()
         totals = events.counter_totals(records)
@@ -203,6 +251,7 @@ class TestPoolMerge:
         markers.mkdir()
         items = [(str(markers), x) for x in (1, 2, 3)]
         assert parallel.parallel_map(_fail_first_attempt, items, jobs=2) == [1, 2, 3]
+        telemetry.close_window("run.end")
         records = events.read_events(event_log)
         # Discarded attempts consume worker seq numbers: gaps are expected.
         events.validate_events(records, allow_gaps=True)
@@ -215,6 +264,36 @@ class TestPoolMerge:
         retries = [r for r in records if r["kind"] == "resilience.retry"]
         assert len(retries) == 3
         assert totals["resilience.retry"] == 3.0
+
+
+    def test_crashed_attempt_leaves_no_records_and_no_side_files(
+        self, event_log, tmp_path, monkeypatch
+    ):
+        seed, crashed = _one_crash_seed(4, 0.25)
+        monkeypatch.setenv("REPRO_FAULT", "worker_crash:0.25")
+        monkeypatch.setenv("REPRO_FAULT_SEED", str(seed))
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        items = [(str(tmp_path), x) for x in range(4)]
+        listings = parallel.parallel_map(_marker_and_listing, items, jobs=2)
+        # Workers never write beside the main stream, during an attempt
+        # or at pool join.
+        assert listings == [[event_log.name]] * 4
+        assert [p.name for p in tmp_path.iterdir()] == [event_log.name]
+        telemetry.close_window("run.end")
+        records = events.read_events(event_log)
+        events.validate_events(records, allow_gaps=True)
+        # The crashed attempt's fault record died with its snapshot...
+        assert not [r for r in records if r["kind"] == "resilience.fault"]
+        assert [r["item"] for r in records if r["kind"] == "resilience.retry"] == [
+            crashed
+        ]
+        # ...and every kept item closes its window exactly once.
+        closing = [r for r in records if r["kind"] == "pool.item"]
+        assert sorted(r["item"] for r in closing) == [f"item{i}" for i in range(4)]
+        assert [r["attempt"] for r in closing if r["item"] == f"item{crashed}"] == [1]
+        markers = [r["item"] for r in records if r["kind"] == "test.marker"]
+        assert sorted(markers) == [0, 1, 2, 3]
+        assert events.counter_totals(records) == telemetry.get_recorder().counters()
 
 
 class TestTraceContext:
@@ -369,7 +448,8 @@ class TestDoctorEvents:
         summary = [r for r in records if r["kind"] == "doctor.report"][-1]
         assert summary["quarantined"] == 1
         assert summary["ok"] is False
-        totals = events.counter_totals(records)
+        telemetry.close_window("run.end")
+        totals = events.counter_totals(events.read_events(event_log))
         assert totals["cache.disk.quarantine"] == 1.0
         assert totals["cache.disk.prune"] == 1.0
 
@@ -502,22 +582,48 @@ class TestBenchTrack:
 
 class TestCheckEventsScript:
     def test_gate_passes_on_instrumented_pool_run(self, event_log, tmp_path):
-        import importlib.util
-
         parallel.parallel_map(_count_and_square, [1, 2, 3], jobs=2)
+        telemetry.close_window("run.end")
         manifest_path = tmp_path / "manifest.json"
         telemetry.write_manifest(str(manifest_path))
+        mod = self._gate()
+        assert mod.main([str(event_log), str(manifest_path)]) == 0
+        # Tamper: drop one worker's closing record -> reconciliation fails.
+        records = events.read_events(event_log)
+        closing = [r for r in records if r["kind"] == "pool.item"]
+        records.remove(closing[0])
+        self._write(event_log, records)
+        assert mod.main([str(event_log), str(manifest_path), "--allow-gaps"]) == 1
+
+    def _gate(self):
+        import importlib.util
+
         spec = importlib.util.spec_from_file_location(
             "check_events", REPO / "benchmarks" / "check_events.py"
         )
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
-        assert mod.main([str(event_log), str(manifest_path)]) == 0
-        # Tamper: drop one counter event -> reconciliation must fail.
-        records = events.read_events(event_log)
-        counters = [r for r in records if r["kind"] == "counter"]
-        records.remove(counters[0])
-        event_log.write_text(
+        return mod
+
+    @staticmethod
+    def _write(path, records):
+        path.write_text(
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         )
-        assert mod.main([str(event_log), str(manifest_path), "--allow-gaps"]) == 1
+
+    def test_gate_requires_run_end_and_rejects_mirrors(self, event_log, tmp_path):
+        telemetry.count("test.hits", 2)
+        telemetry.close_window("run.end")
+        manifest_path = tmp_path / "manifest.json"
+        telemetry.write_manifest(str(manifest_path))
+        gate = self._gate()
+        assert gate.main([str(event_log), str(manifest_path)]) == 0
+        records = events.read_events(event_log)
+        # A stream without the run.end that closes the parent's window.
+        self._write(event_log, [r for r in records if r["kind"] != "run.end"])
+        assert gate.main([str(event_log), str(manifest_path), "--allow-gaps"]) == 1
+        # A per-increment mirror record, even one that still reconciles.
+        mirror = dict(records[-1], seq=records[-1]["seq"] + 1, kind="counter",
+                      name="test.hits", value=0.0, counters={})
+        self._write(event_log, records + [mirror])
+        assert gate.main([str(event_log), str(manifest_path)]) == 1

@@ -266,6 +266,43 @@ class TestFleetView:
         report = fleet.render_inspect(view)
         assert "w-dead" in report and "dead workers" in report
 
+    def test_killed_shard_reconciles_up_to_its_last_unit(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker dying inside unit k+1 leaves a stream cut right after
+        # its k-th dist.unit line and a manifest written after unit k.
+        from repro.analytical import fidelity
+
+        class Killed(BaseException):
+            pass
+
+        k = 2
+        real = fidelity.simulate_at_fidelity
+        calls = []
+
+        def dies_on_unit_k_plus_1(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > k:
+                raise Killed
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fidelity, "simulate_at_fidelity", dies_on_unit_k_plus_1)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_WORKER_ID", "w0")
+        monkeypatch.setenv("REPRO_EVENTS", str(tmp_path / "events" / "w0.jsonl"))
+        plan = dist_shard.publish_plan(tmp_path, _tiny_plan())
+        telemetry.reset()
+        with pytest.raises(Killed):
+            dist_worker.run_shard(tmp_path, plan, shard=None, steal=False)
+        monkeypatch.delenv("REPRO_EVENTS")
+        view = fleet.build_fleet_view(tmp_path, plan)
+        kinds = [r["kind"] for r in view.records if r["kind"] != "progress"]
+        assert kinds == ["dist.shard.start"] + ["dist.unit"] * k
+        assert view.audit["counters_consistent"]
+        assert view.audit["event_computed_total"] == k
+        assert view.tallies["computed"] == k
+        assert view.audit["attributed"] == k == view.published
+
     def test_view_without_event_streams(self, tmp_path, monkeypatch):
         # A library-level store with no REPRO_EVENTS: journal+manifests
         # are the only evidence; the audit must not fabricate losses.
