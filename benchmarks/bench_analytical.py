@@ -61,9 +61,8 @@ def _layer_speedups() -> dict:
 
     The workload (synthesis + chunk work) and density statistics are
     warm on both sides -- this isolates what one more grid point costs
-    each tier, with no result-memo or barrier-memo hits.
+    each tier, with no result-memo hits.
     """
-    from repro.analytical import model
     from repro.analytical.density import extract_density_stats
     from repro.core.compare import _run_scheme
 
@@ -88,11 +87,9 @@ def _layer_speedups() -> dict:
         t0 = time.perf_counter()
         sim = _run_scheme(scheme, spec, cfg, data, work, 0)
         t1 = time.perf_counter()
-        model._BARRIER_MEMO.clear()
-        t2 = time.perf_counter()
         pred = predict_layer(spec, cfg, scheme=scheme, stats=stats)
-        t3 = time.perf_counter()
-        sim_s, pred_s = t1 - t0, t3 - t2
+        t2 = time.perf_counter()
+        sim_s, pred_s = t1 - t0, t2 - t1
         out[scheme] = {
             "sim_ms": round(1e3 * sim_s, 3),
             "predict_ms": round(1e3 * pred_s, 3),

@@ -11,6 +11,10 @@ fast path drifts from ground truth:
    simulated speedups must stay >= 0.95 per scheme. This is the bound
    that makes the pre-screened sweep trustworthy: the simulated optimum
    stays inside the analytical top-k.
+3. **Native barrier** -- on a native-capable runner (``REPRO_NO_NATIVE``
+   unset) the SparTen predictions must reach the compiled barrier
+   kernel: zero ``kernel.barrier_native_dispatch`` counts means every
+   prediction fell back to the NumPy path.
 
 Writes the full per-point error table to
 ``benchmarks/output/analytical_validation.json`` and the headline
@@ -43,12 +47,25 @@ def main(argv: list[str] | None = None) -> int:
         render_validation,
         validate_analytical,
     )
+    from repro.sim import native
 
     telemetry.reset()
     report = validate_analytical(seed=args.seed)
     print(render_validation(report))
+    counters = telemetry.snapshot(events=False)["counters"]
+    barrier_native = counters.get("kernel.barrier_native_dispatch", 0)
+    barrier_fallback = counters.get("kernel.barrier_fallback_dispatch", 0)
 
     failures: list[str] = []
+    if (
+        not os.environ.get("REPRO_NO_NATIVE")
+        and native.available()
+        and barrier_native <= 0
+    ):
+        failures.append(
+            f"zero native barrier dispatches ({int(barrier_fallback)} NumPy "
+            "fallbacks) on a native-capable runner"
+        )
     if report.median_abs_error > MEDIAN_ABS_ERR_BOUND:
         failures.append(
             f"pooled median |err| {report.median_abs_error:.4f} > "
@@ -107,7 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"check_analytical: PASS -- pooled median |err| "
         f"{report.median_abs_error:.4f}, max |err| {report.max_abs_error:.4f}, "
-        f"rank corr {report.rank_correlation:.4f}"
+        f"rank corr {report.rank_correlation:.4f}, "
+        f"{int(barrier_native)} native barrier dispatches "
+        f"({int(barrier_fallback)} NumPy)"
     )
     return 0
 

@@ -5,6 +5,12 @@ timeline -> trace``): closed-form cycle/stall/energy prediction for
 every scheme the repo simulates, built from per-filter density
 distributions instead of per-element simulation, and continuously
 validated against the cycle-level simulators (CI-gated error bounds).
+
+:func:`predict_layer` answers one (layer, machine, scheme) point with a
+full :class:`~repro.sim.results.LayerResult`. :func:`predict_grid`
+scores a whole design grid from one density extraction -- cycles and
+breakdowns only, one barrier evaluation per (units, variant) -- which
+is what the pre-screened sweep's phase 1 runs.
 """
 
 from repro.analytical.density import (
@@ -21,6 +27,7 @@ from repro.analytical.fidelity import (
 from repro.analytical.model import (
     ANALYTICAL_SCHEMES,
     expected_max_coefficient,
+    predict_grid,
     predict_layer,
     predict_layer_energy,
     predict_network,
@@ -46,6 +53,7 @@ __all__ = [
     "expected_max_coefficient",
     "extract_density_stats",
     "fidelity_level",
+    "predict_grid",
     "predict_layer",
     "predict_layer_energy",
     "predict_network",

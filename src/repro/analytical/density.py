@@ -152,9 +152,11 @@ def regroup_stats(stats: DensityStats, cfg: HardwareConfig) -> DensityStats:
     in-slice sample to the slice's true position count (the same
     estimator :func:`repro.sim.kernels.assign_positions` uses).
 
-    Per-position arrays are shared (not copied) with the input, which is
-    what lets the analytical model reuse group-level work across the
-    cluster axis of a sweep. Raises ``ValueError`` when some cluster's
+    Per-position arrays are shared (not copied) with the input, so one
+    regrouping per cluster count costs only the new assignment; the
+    grid scorer (:func:`repro.analytical.model.predict_grid`) pairs it
+    with one barrier evaluation per (units, variant), which does not
+    read the assignment. Raises ``ValueError`` when some cluster's
     slice contains no stat position (the sample is too sparse for the
     requested cluster count).
     """

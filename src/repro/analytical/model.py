@@ -44,6 +44,7 @@ same attribution tables as ``repro profile``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -53,9 +54,10 @@ from repro import profiling, telemetry
 from repro.arch.memory import layer_traffic
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.synthesis import LayerData
-from repro.sim import reduce
+from repro.sim import native, reduce
 from repro.sim.config import HardwareConfig
 from repro.sim.energy import layer_energy
+from repro.sim.kernels import PositionAssignment
 from repro.sim.results import Breakdown, LayerResult, observability_extras
 from repro.sim.scnn import scnn_tile_plan
 
@@ -69,6 +71,7 @@ __all__ = [
     "ANALYTICAL_SCHEMES",
     "predict_layer",
     "predict_network",
+    "predict_grid",
     "predict_layer_energy",
     "expected_max_coefficient",
     "gb_order",
@@ -105,6 +108,13 @@ _NEARMAX_REL = 0.05
 _MAX_COEF_SCALE = 0.85
 
 _NORMAL = NormalDist()
+
+#: The NumPy barrier path works in group blocks whose ``(chunks, block,
+#: sel)`` temporaries hold at most this many doubles, so small-unit
+#: machines (many groups) never blow memory while the group axis stays
+#: off the Python interpreter. The native kernel holds no temporaries but
+#: sums over the same blocks, to stay bit-identical.
+_BLOCK_DOUBLES = 8e6
 
 
 def expected_max_coefficient(m: int | np.ndarray) -> np.ndarray:
@@ -249,47 +259,7 @@ def two_sided_row_loads(
     return loads_a, loads_b, floors
 
 
-#: Memoised barrier/permute terms. The per-position barrier model is
-#: independent of the cluster assignment (clusters only regroup the
-#: finished per-position array), so a sweep's cluster axis re-uses one
-#: evaluation per (units, variant, bisection) -- :func:`regroup_stats`
-#: shares the stat arrays, making identity a sound content key. Values
-#: keep references to the keyed arrays so ids are never recycled.
-_BARRIER_MEMO: dict = {}
-_BARRIER_MEMO_MAX = 64
-
-
 def _two_sided_barriers(
-    stats: DensityStats, cfg: HardwareConfig, variant: str
-) -> tuple[np.ndarray, np.ndarray, int]:
-    key = (
-        id(stats.input_pop),
-        id(stats.match_sums),
-        id(stats.filter_chunk_nnz),
-        stats.chunk_size,
-        cfg.units_per_cluster,
-        variant,
-        cfg.bisection_width if variant == "gb_h" else None,
-    )
-    hit = _BARRIER_MEMO.get(key)
-    if hit is not None:
-        telemetry.count("analytical.barrier_memo_hit")
-        return hit[3], hit[4], hit[5]
-    barrier, permute, n_groups = _two_sided_barriers_impl(stats, cfg, variant)
-    if len(_BARRIER_MEMO) >= _BARRIER_MEMO_MAX:
-        _BARRIER_MEMO.clear()
-    _BARRIER_MEMO[key] = (
-        stats.input_pop,
-        stats.match_sums,
-        stats.filter_chunk_nnz,
-        barrier,
-        permute,
-        n_groups,
-    )
-    return barrier, permute, n_groups
-
-
-def _two_sided_barriers_impl(
     stats: DensityStats, cfg: HardwareConfig, variant: str
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Expected per-position barrier/permute cycles and the group count.
@@ -325,7 +295,7 @@ def _two_sided_barriers_impl(
     # sum_c k_cp * (total chunk nnz / chunk) matches at position p; the
     # measured total is match_sums. rho re-anchors every row mean so the
     # busy term stays exact.
-    k = stats.input_pop.astype(np.float64)  # (n_chunks, n_sel)
+    k = np.ascontiguousarray(stats.input_pop, dtype=np.float64)  # (n_chunks, n_sel)
     totq = stats.total_filter_chunk_nnz.astype(np.float64) / chunk
     predicted = k.T @ totq  # (n_sel,)
     rho = np.divide(
@@ -339,10 +309,13 @@ def _two_sided_barriers_impl(
     barrier = np.zeros(n_sel, dtype=np.float64)
     permute = np.zeros(n_sel, dtype=np.float64)
     fpc = np.clip((chunk - k) / max(chunk - 1.0, 1.0), 0.0, 1.0)
-    # Vectorised over group slabs: temporaries are (chunks, block, sel),
-    # bounded to ~8M doubles so small-unit machines (many groups) never
-    # blow memory while the group axis stays off the Python interpreter.
-    block = max(1, int(8e6 / max(n_chunks * n_sel, 1)))
+    block = max(1, int(_BLOCK_DOUBLES / max(n_chunks * n_sel, 1)))
+    if native.two_sided_barrier(
+        wa, wb, alpha, floors, k, fpc, rho, chunk, block, barrier, permute
+    ):
+        telemetry.count("kernel.barrier_native_dispatch")
+        return barrier, permute, n_groups
+    telemetry.count("kernel.barrier_fallback_dispatch")
     k3 = k[:, None, :]
     fpc3 = fpc[:, None, :]
     for g0 in range(0, n_groups, block):
@@ -368,6 +341,42 @@ def _two_sided_barriers_impl(
     return barrier, permute, n_groups
 
 
+def _cluster_reduction(
+    assignment: PositionAssignment,
+    cfg: HardwareConfig,
+    per_pos_barrier: np.ndarray,
+    per_pos_slots: np.ndarray,
+    per_pos_useful: np.ndarray,
+) -> tuple[float, np.ndarray, Breakdown]:
+    """Reduce per-position arrays over the clusters of a machine.
+
+    Identical cluster reduction to the cycle simulators: weighted
+    bincount per cluster, layer cycles = slowest cluster, inter loss =
+    the other clusters' idle slots, zero MACs = occupied-but-useless
+    slots. Returns ``(layer_cycles, cluster_cycles, breakdown)``.
+    """
+    units = cfg.units_per_cluster
+    weights = assignment.weight_of
+    cluster_cycles = np.bincount(
+        assignment.cluster_of,
+        weights=per_pos_barrier * weights,
+        minlength=cfg.n_clusters,
+    )
+    # Array methods, not np.sum: the same reductions without the
+    # dispatch overhead a whole-grid scorer pays once per point.
+    nonzero = float((per_pos_useful * weights).sum())
+    occupied = float((per_pos_slots * weights).sum())
+    zero = occupied - nonzero
+    wall_slots = float((per_pos_barrier * weights).sum()) * units
+    intra = wall_slots - occupied
+    layer_cycles = float(cluster_cycles.max())
+    inter = float(((layer_cycles - cluster_cycles) * units).sum())
+    breakdown = Breakdown(
+        nonzero_macs=nonzero, zero_macs=zero, intra_loss=intra, inter_loss=inter
+    )
+    return layer_cycles, cluster_cycles, breakdown
+
+
 def _positional_result(
     stats: DensityStats,
     cfg: HardwareConfig,
@@ -383,30 +392,16 @@ def _positional_result(
 ) -> LayerResult:
     """Assemble a cluster-machine LayerResult from per-position arrays.
 
-    Identical cluster reduction to the cycle simulators: weighted
-    bincount per cluster, layer cycles = slowest cluster, inter loss =
-    the other clusters' idle slots, zero MACs = occupied-but-useless
-    slots. Counters come from the same arrays, so the
-    conservation law holds by construction.
+    The cycles and breakdown come from :func:`_cluster_reduction`;
+    counters come from the same arrays, so the conservation law holds by
+    construction.
     """
-    spec = stats.spec
     units = cfg.units_per_cluster
     n_clusters = cfg.n_clusters
     weights = stats.assignment.weight_of
     cluster_of = stats.assignment.cluster_of
-
-    cluster_cycles = np.bincount(
-        cluster_of, weights=per_pos_barrier * weights, minlength=n_clusters
-    )
-    nonzero = float(np.sum(per_pos_useful * weights))
-    occupied = float(np.sum(per_pos_slots * weights))
-    zero = occupied - nonzero
-    wall_slots = float(np.sum(per_pos_barrier * weights)) * units
-    intra = wall_slots - occupied
-    layer_cycles = float(cluster_cycles.max())
-    inter = float(np.sum((layer_cycles - cluster_cycles) * units))
-    breakdown = Breakdown(
-        nonzero_macs=nonzero, zero_macs=zero, intra_loss=intra, inter_loss=inter
+    layer_cycles, cluster_cycles, breakdown = _cluster_reduction(
+        stats.assignment, cfg, per_pos_barrier, per_pos_slots, per_pos_useful
     )
 
     counters = None
@@ -447,13 +442,13 @@ def _positional_result(
     extras = observability_extras(breakdown)
     return LayerResult(
         scheme=scheme,
-        layer_name=spec.name,
+        layer_name=stats.spec.name,
         cycles=layer_cycles,
         compute_cycles=layer_cycles,
         total_macs=cfg.total_macs,
         breakdown=breakdown,
         traffic=layer_traffic(
-            spec, scheme=traffic_scheme, chunk_size=cfg.chunk_size
+            stats.spec, scheme=traffic_scheme, chunk_size=cfg.chunk_size
         ),
         extras={
             **extras,
@@ -525,23 +520,24 @@ def _predict_one_sided(stats: DensityStats, cfg: HardwareConfig) -> LayerResult:
     )
 
 
-def _predict_dense(
-    stats: DensityStats, cfg: HardwareConfig, naive_buffers: bool = False
-) -> LayerResult:
-    """Exact closed form: mirrors :func:`repro.sim.dense.simulate_dense`."""
+def _dense_reduction(
+    stats: DensityStats, cfg: HardwareConfig
+) -> tuple[float, np.ndarray, Breakdown]:
+    """Exact dense closed form: ``(layer_cycles, cluster_cycles, breakdown)``.
+
+    The cycles depend only on the cluster position counts, the filter
+    group count and the dot length; the breakdown adds the exact useful
+    MACs.
+    """
     spec = stats.spec
     units = cfg.units_per_cluster
-    n_clusters = cfg.n_clusters
     dot_length = spec.kernel * spec.kernel * spec.in_channels
     n_groups = int(np.ceil(spec.n_filters / units))
     assignment = stats.assignment
-    weights = assignment.weight_of
-    cluster_of = assignment.cluster_of
-
     cluster_cycles = (
         assignment.cluster_positions.astype(np.float64) * n_groups * dot_length
     )
-    nonzero = float(np.sum(stats.match_sums * weights))
+    nonzero = float(np.sum(stats.match_sums * assignment.weight_of))
     total_mult_slots = float(
         assignment.cluster_positions.sum() * spec.n_filters * dot_length
     )
@@ -553,6 +549,20 @@ def _predict_dense(
     breakdown = Breakdown(
         nonzero_macs=nonzero, zero_macs=zero, intra_loss=intra, inter_loss=inter
     )
+    return layer_cycles, cluster_cycles, breakdown
+
+
+def _predict_dense(
+    stats: DensityStats, cfg: HardwareConfig, naive_buffers: bool = False
+) -> LayerResult:
+    """Exact closed form: mirrors :func:`repro.sim.dense.simulate_dense`."""
+    spec = stats.spec
+    units = cfg.units_per_cluster
+    n_clusters = cfg.n_clusters
+    dot_length = spec.kernel * spec.kernel * spec.in_channels
+    n_groups = int(np.ceil(spec.n_filters / units))
+    assignment = stats.assignment
+    layer_cycles, cluster_cycles, breakdown = _dense_reduction(stats, cfg)
     scheme = "dense_naive" if naive_buffers else "dense"
 
     counters = None
@@ -563,7 +573,9 @@ def _predict_dense(
             * dot_length
         )
         useful_c = np.bincount(
-            cluster_of, weights=stats.match_sums * weights, minlength=n_clusters
+            assignment.cluster_of,
+            weights=stats.match_sums * assignment.weight_of,
+            minlength=n_clusters,
         )
         counters = profiling.CounterSet(
             scheme=scheme,
@@ -844,6 +856,47 @@ def predict_network(
         predict_layer(layer, cfg, scheme=scheme, seed=seed)
         for layer in network.layers
     ]
+
+
+def predict_grid(
+    stats: DensityStats,
+    cfgs: Sequence[HardwareConfig],
+    variants: Sequence[str],
+) -> list[tuple[HardwareConfig, str, float, float, Breakdown]]:
+    """Score a layer's whole SparTen design grid from one extraction.
+
+    For every config in *cfgs* and every variant (``"no_gb"``,
+    ``"gb_s"``, ``"gb_h"``) returns ``(cfg, variant, dense_cycles,
+    cycles, breakdown)`` in config-then-variant order: the numbers that
+    :func:`predict_layer` would put in that point's dense and SparTen
+    results, bit for bit, without building either result. *stats* is
+    regrouped once per cluster count and the barrier model evaluated
+    once per (units, bisection, variant) -- it does not depend on the
+    cluster assignment -- so the cluster axis costs only the cluster
+    reduction. Grid points feed no per-layer telemetry or profile
+    counters: they are hypothetical machines, not simulated layers.
+    """
+    regrouped: dict[int, DensityStats] = {}
+    barriers: dict[tuple[int, int, str], np.ndarray] = {}
+    rows = []
+    for cfg in cfgs:
+        sub = regrouped.get(cfg.n_clusters)
+        if sub is None:
+            sub = regrouped[cfg.n_clusters] = regroup_stats(stats, cfg)
+        dense_cycles = _dense_reduction(sub, cfg)[0]
+        for variant in variants:
+            key = (cfg.units_per_cluster, cfg.bisection_width, variant)
+            if key not in barriers:
+                barriers[key] = _two_sided_barriers(stats, cfg, variant)[0]
+            cycles, _, breakdown = _cluster_reduction(
+                sub.assignment,
+                cfg,
+                barriers[key],
+                stats.match_sums,
+                stats.match_sums,
+            )
+            rows.append((cfg, variant, dense_cycles, cycles, breakdown))
+    return rows
 
 
 def predict_layer_energy(

@@ -1,5 +1,6 @@
 """Optional compiled kernels: AND+popcount match counts, scheme
-reductions and the workload synthesis smoothing pass.
+reductions, the workload synthesis smoothing pass and the analytical
+two-sided barrier model.
 
 The hot quantity in every simulator is the per-(chunk, position, filter)
 match count -- the popcount of the AND of two bit-packed masks. BLAS can
@@ -16,8 +17,9 @@ is best-effort: no compiler, a failed build, or ``$REPRO_NO_NATIVE``
 being set all make :func:`match_counts` return ``None`` and the caller
 falls back to the GEMM path. Both paths are bit-identical (exact
 small-integer arithmetic), which the tests assert. The smoothing pass
-(:func:`smooth_wrap_axis`) is float arithmetic; it is bit-identical to
-its NumPy fallback because both round every step in the same order.
+(:func:`smooth_wrap_axis`) and the barrier model
+(:func:`two_sided_barrier`) are float arithmetic; each is bit-identical
+to its NumPy fallback because both round every step in the same order.
 
 Data layout contract (all C-contiguous):
 
@@ -48,9 +50,11 @@ __all__ = [
     "reduce_pairs",
     "fused_reduce_pairs",
     "smooth_wrap_axis",
+    "two_sided_barrier",
 ]
 
 _C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 #if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
@@ -324,15 +328,88 @@ void smooth_wrap_axis(const double *src, double *dst, const double *w,
         }
     }
 }
+
+/* ---- analytical two-sided barrier ---------------------------------------
+   The order-statistics barrier model of repro.analytical.model, fused over
+   (chunk, group, position) so no (chunks, groups, positions) temporary is
+   built. Per (c, g, p), from the heaviest row's loads wa/wb, the Blom
+   coefficient alpha and the routing floor fl of (c, g), the window count
+   k and finite-population correction fpc of (c, p), and the correlation
+   factor rho of p:
+     qa = clip(rho*wa/chunk, 0, 1), qb likewise,
+     est = k*(qa+qb) + alpha*sqrt((k*qa*(1-qa) + k*qb*(1-qb))*fpc),
+     est = max(min(est, min(k,wa) + min(k,wb)), 1),
+     permute += max(0, fl - est), est = max(est, fl).
+   Every step rounds in the NumPy fallback's order, and the per-position
+   sums follow its est.sum(axis=(0, 1)): chunk-major, group-minor partial
+   sums over blocks of `block` groups, each partial then added to the
+   accumulators. With FMA contraction off the result is bit-identical.
+   wa/wb/alpha/floors: (n_chunks, n_groups); floors may be NULL.
+   k/fpc: (n_chunks, n_sel). rho, barrier, permute: (n_sel,).
+   scratch: 2 * n_sel doubles. */
+void two_sided_barrier(const double *wa, const double *wb,
+                       const double *alpha, const double *floors,
+                       const double *k, const double *fpc, const double *rho,
+                       double *barrier, double *permute, double *scratch,
+                       double chunk, int64_t n_chunks, int64_t n_groups,
+                       int64_t n_sel, int64_t block)
+{
+    double *bar_part = scratch, *perm_part = scratch + n_sel;
+    for (int64_t g0 = 0; g0 < n_groups; g0 += block) {
+        int64_t g1 = n_groups - g0 < block ? n_groups : g0 + block;
+        for (int64_t p = 0; p < n_sel; ++p) {
+            bar_part[p] = 0.0;
+            perm_part[p] = 0.0;
+        }
+        for (int64_t c = 0; c < n_chunks; ++c) {
+            const double *kc = k + c * n_sel;
+            const double *fc = fpc + c * n_sel;
+            for (int64_t g = g0; g < g1; ++g) {
+                const int64_t cg = c * n_groups + g;
+                const double a = wa[cg], b = wb[cg], al = alpha[cg];
+                const double fl = floors ? floors[cg] : 0.0;
+                for (int64_t p = 0; p < n_sel; ++p) {
+                    const double kp = kc[p];
+                    double qa = rho[p] * a / chunk;
+                    double qb = rho[p] * b / chunk;
+                    qa = qa < 0.0 ? 0.0 : (qa > 1.0 ? 1.0 : qa);
+                    qb = qb < 0.0 ? 0.0 : (qb > 1.0 ? 1.0 : qb);
+                    double cap = (kp < a ? kp : a) + (kp < b ? kp : b);
+                    double est = kp * (qa + qb);
+                    double sigma = sqrt(
+                        (kp * qa * (1.0 - qa) + kp * qb * (1.0 - qb)) * fc[p]);
+                    est = est + al * sigma;
+                    est = est < cap ? est : cap;
+                    est = est > 1.0 ? est : 1.0;
+                    if (floors) {
+                        double gap = fl - est;
+                        perm_part[p] += gap > 0.0 ? gap : 0.0;
+                        est = est > fl ? est : fl;
+                    }
+                    bar_part[p] += est;
+                }
+            }
+        }
+        for (int64_t p = 0; p < n_sel; ++p) {
+            barrier[p] += bar_part[p];
+            if (floors)
+                permute[p] += perm_part[p];
+        }
+    }
+}
 """
 
 #: Compiler flag sets, tried in order until one builds. FMA contraction
-#: stays off: fusing ``out += (xm + xp) * w`` into one rounding would
-#: break the smoothing kernel's bit-identity with the reference filter
-#: (the integer kernels are unaffected).
+#: stays off: fusing ``out += (xm + xp) * w`` or ``est + alpha * sigma``
+#: into one rounding would break the float kernels' bit-identity with
+#: their NumPy fallbacks (the integer kernels are unaffected).
+#: ``-fno-math-errno`` lets the barrier kernel's ``sqrt`` vectorise (its
+#: argument is never negative, so errno is never set); no other kernel
+#: calls libm.
 _FLAG_SETS = (
-    ["-O3", "-march=native", "-funroll-loops", "-ffp-contract=off"],
-    ["-O3", "-ffp-contract=off"],
+    ["-O3", "-march=native", "-funroll-loops", "-ffp-contract=off",
+     "-fno-math-errno"],
+    ["-O3", "-ffp-contract=off", "-fno-math-errno"],
 )
 
 _lib: ctypes.CDLL | None = None
@@ -416,6 +493,11 @@ def _load() -> ctypes.CDLL | None:
         fn = lib.smooth_wrap_axis
         fn.restype = None
         fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
+        fn = lib.two_sided_barrier
+        fn.restype = None
+        fn.argtypes = (
+            [ctypes.c_void_p] * 10 + [ctypes.c_double] + [ctypes.c_int64] * 4
+        )
         _lib = lib
     except (OSError, RuntimeError, subprocess.TimeoutExpired, AttributeError) as exc:
         _error = str(exc)
@@ -618,5 +700,69 @@ def smooth_wrap_axis(src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> b
         length,
         n_inner,
         weights.size - 1,
+    )
+    return True
+
+
+def two_sided_barrier(
+    wa: np.ndarray,
+    wb: np.ndarray,
+    alpha: np.ndarray,
+    floors: np.ndarray | None,
+    k: np.ndarray,
+    fpc: np.ndarray,
+    rho: np.ndarray,
+    chunk: float,
+    block: int,
+    barrier: np.ndarray,
+    permute: np.ndarray,
+) -> bool:
+    """Accumulate the analytical two-sided barrier model into *barrier*/*permute*.
+
+    Group-level inputs (*wa*, *wb*, *alpha*, *floors*) are
+    ``(n_chunks, n_groups)``, position-level ones (*k*, *fpc*) are
+    ``(n_chunks, n_sel)`` and *rho* is ``(n_sel,)``; *block* is the
+    group-block width whose partial sums the NumPy fallback adds.
+    Returns ``False`` (and leaves the outputs untouched) when the kernel
+    is unavailable.
+    """
+    lib = _load()
+    if lib is None:
+        return False
+    group_arrays = (wa, wb, alpha) + (() if floors is None else (floors,))
+    for arr in (*group_arrays, k, fpc, rho, barrier, permute):
+        if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            raise ValueError("two_sided_barrier needs C-contiguous float64 arrays")
+    n_chunks, n_groups = wa.shape
+    n_sel = rho.size
+    if (
+        any(arr.shape != (n_chunks, n_groups) for arr in group_arrays)
+        or k.shape != (n_chunks, n_sel)
+        or fpc.shape != k.shape
+        or barrier.shape != (n_sel,)
+        or permute.shape != (n_sel,)
+        or block < 1
+    ):
+        raise ValueError(
+            f"bad shapes: groups {wa.shape}, positions {k.shape}, "
+            f"rho {rho.shape}, block {block}"
+        )
+    scratch = np.empty(2 * n_sel, dtype=np.float64)
+    lib.two_sided_barrier(
+        _ptr(wa),
+        _ptr(wb),
+        _ptr(alpha),
+        _ptr(floors),
+        _ptr(k),
+        _ptr(fpc),
+        _ptr(rho),
+        _ptr(barrier),
+        _ptr(permute),
+        _ptr(scratch),
+        float(chunk),
+        n_chunks,
+        n_groups,
+        n_sel,
+        block,
     )
     return True

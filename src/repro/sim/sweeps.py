@@ -11,13 +11,16 @@ geometry space and show the scaling cliffs the breakdowns of Figures
 - and barrier granularity means the speedup of adding units saturates
   before the MAC count does.
 
-Every sweep point routes through the content-hash result memo
-(:func:`repro.core.compare.run_scheme_cached` via the fidelity ladder),
-so repeated or overlapping sweeps -- and sweeps whose points differ only
-in knobs outside the workload key -- hit the PR 1 cache instead of
-re-simulating. :func:`prescreened_sweep` is the two-phase mode: the
-analytical tier scores the *full* grid in closed form, then only the
-top-k survivors pay for cycle-level simulation.
+Every simulated sweep point routes through the content-hash result
+memo (:func:`repro.core.compare.run_scheme_cached` via the fidelity
+ladder), so repeated or overlapping sweeps -- and sweeps whose points
+differ only in knobs outside the workload key -- hit the cache instead
+of re-simulating. :func:`prescreened_sweep` is the two-phase mode: the
+analytical grid scorer (:func:`repro.analytical.model.predict_grid`)
+scores the *full* grid from one density extraction, then only the top-k
+survivors pay for cycle-level simulation. Both phases build their rows
+with one function, so a predicted and a simulated row of the same point
+are computed alike.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from repro import telemetry
 from repro.nets.layers import ConvLayerSpec
 from repro.sim.config import HardwareConfig
+from repro.sim.results import Breakdown
 from repro.telemetry import events
 from repro.telemetry.progress import ProgressRenderer
 
@@ -50,6 +54,21 @@ def _sweep_config(
     )
 
 
+def _sweep_row(
+    cfg: HardwareConfig, dense_cycles: float, cycles: float, breakdown: Breakdown
+) -> dict[str, float]:
+    """One geometry's speedup/utilisation row from its dense and sparse cycles."""
+    total = breakdown.total
+    return {
+        "total_macs": float(cfg.total_macs),
+        "speedup_vs_dense": dense_cycles / cycles,
+        "cycles": cycles,
+        "utilization": breakdown.nonzero_macs / total if total else 0.0,
+        "intra_fraction": breakdown.intra_loss / total if total else 0.0,
+        "inter_fraction": breakdown.inter_loss / total if total else 0.0,
+    }
+
+
 def _sweep_point(
     spec: ConvLayerSpec,
     cfg: HardwareConfig,
@@ -64,15 +83,7 @@ def _sweep_point(
     sparse = simulate_at_fidelity(
         _SCHEME_OF[variant], spec, cfg, seed, fidelity=fidelity
     )
-    total = sparse.breakdown.total
-    return {
-        "total_macs": float(cfg.total_macs),
-        "speedup_vs_dense": dense.cycles / sparse.cycles,
-        "cycles": sparse.cycles,
-        "utilization": sparse.breakdown.nonzero_macs / total if total else 0.0,
-        "intra_fraction": sparse.breakdown.intra_loss / total if total else 0.0,
-        "inter_fraction": sparse.breakdown.inter_loss / total if total else 0.0,
-    }
+    return _sweep_row(cfg, dense.cycles, sparse.cycles, sparse.breakdown)
 
 
 def machine_scaling_sweep(
@@ -141,18 +152,6 @@ def machine_scaling_sweep(
     return out
 
 
-def _row_from_results(dense, sparse, cfg: HardwareConfig) -> dict[str, float]:
-    total = sparse.breakdown.total
-    return {
-        "total_macs": float(cfg.total_macs),
-        "speedup_vs_dense": dense.cycles / sparse.cycles,
-        "cycles": sparse.cycles,
-        "utilization": sparse.breakdown.nonzero_macs / total if total else 0.0,
-        "intra_fraction": sparse.breakdown.intra_loss / total if total else 0.0,
-        "inter_fraction": sparse.breakdown.inter_loss / total if total else 0.0,
-    }
-
-
 def prescreened_sweep(
     spec: ConvLayerSpec,
     geometries: tuple[tuple[int, int], ...],
@@ -170,12 +169,15 @@ def prescreened_sweep(
     statistics are extracted once at a canonical single-cluster geometry
     (``stats_sample`` positions, evenly spaced over the output map) and
     re-sliced onto each cluster count with
-    :func:`repro.analytical.density.regroup_stats` -- the group-level
-    barrier terms are memoised per (units, variant), so the cluster axis
-    of the grid costs only a weighted regrouping. Phase 2 re-runs only
-    the *top_k* survivors, ranked by predicted speedup over dense, at
-    *final_fidelity* on the cycle-level machine (matched
-    ``position_sample``). Returns::
+    :func:`repro.analytical.density.regroup_stats`, and
+    :func:`repro.analytical.model.predict_grid` evaluates the barrier
+    model once per (units, variant), so the cluster axis of the grid
+    costs only a cluster reduction per point. Grid points are not
+    simulated layers: they feed no per-layer ``analytical.*`` or
+    ``profile.*`` counters (``sweep.prescreen.points`` counts them).
+    Phase 2 re-runs only the *top_k* survivors, ranked by predicted
+    speedup over dense, at *final_fidelity* on the cycle-level machine
+    (matched ``position_sample``). Returns::
 
         {
             "analytical": {(clusters, units, variant): row, ...},  # full grid
@@ -196,8 +198,8 @@ def prescreened_sweep(
             raise ValueError(
                 f"variants must be among {sorted(_SCHEME_OF)}, got {variant!r}"
             )
-    from repro.analytical.density import extract_density_stats, regroup_stats
-    from repro.analytical.model import predict_layer
+    from repro.analytical.density import extract_density_stats
+    from repro.analytical.model import predict_grid
 
     with telemetry.span("prescreened_sweep", layer=spec.name):
         with telemetry.span("prescreen_analytical", layer=spec.name):
@@ -208,18 +210,18 @@ def prescreened_sweep(
                 position_sample=stats_sample,
             )
             stats = extract_density_stats(spec, canonical, seed)
-            analytical: dict[tuple[int, int, str], dict[str, float]] = {}
-            for n_clusters, units in geometries:
-                cfg = _sweep_config(n_clusters, units, position_sample)
-                regrouped = regroup_stats(stats, cfg)
-                dense = predict_layer(spec, cfg, scheme="dense", stats=regrouped)
-                for variant in variants:
-                    sparse = predict_layer(
-                        spec, cfg, scheme=_SCHEME_OF[variant], stats=regrouped
-                    )
-                    analytical[(n_clusters, units, variant)] = _row_from_results(
-                        dense, sparse, cfg
-                    )
+            cfgs = [
+                _sweep_config(n_clusters, units, position_sample)
+                for n_clusters, units in geometries
+            ]
+            analytical: dict[tuple[int, int, str], dict[str, float]] = {
+                (cfg.n_clusters, cfg.units_per_cluster, variant): _sweep_row(
+                    cfg, dense_cycles, cycles, breakdown
+                )
+                for cfg, variant, dense_cycles, cycles, breakdown in predict_grid(
+                    stats, cfgs, variants
+                )
+            }
         survivors = sorted(
             analytical, key=lambda g: -analytical[g]["speedup_vs_dense"]
         )[:top_k]
